@@ -46,7 +46,7 @@ Two entry points:
   (:mod:`repro.obs`), so each backend entry carries a ``phases`` self-time
   breakdown whose sum matches the measured seconds, plus per-worker-track
   phase tables for the process-sharded backends. ``--config run.json`` loads a
-  :class:`repro.runtime.RunConfig`: its backend/workers/tile_columns become
+  :class:`repro.runtime.RunConfig`: its backend/workers become
   the measured backend (when no ``--backend`` flags are given) and the
   serialized config is recorded under the report's ``run_config`` key, so a
   benchmark JSON documents exactly the configuration that produced it. The
@@ -457,7 +457,7 @@ def main(argv=None):
         default=None,
         metavar="PATH",
         help="load a repro.runtime.RunConfig (JSON/YAML): its backend, "
-        "workers and tile_columns become the measured backend when no "
+        "and workers become the measured backend when no "
         "--backend flags are given, and the serialized config is recorded "
         "under the report's 'run_config' key for reproducibility",
     )
@@ -609,8 +609,8 @@ def main(argv=None):
                         (f"{backend}[workers={workers}]", backend, {"workers": workers})
                     )
             else:
-                # The in-process/device backends ("native", "gpu") take no
-                # worker count; measure each once with default options.
+                # The in-process "native" backend takes no worker count;
+                # measure it once with default options.
                 specs.append((backend, backend, None))
 
     reference = ReferenceSquiggle.from_genome(

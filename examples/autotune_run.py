@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Autotuning walkthrough: backend="auto" end to end.
 
-Backend choice, worker counts, column tiling and the exactness-preserving
-prune/lower-bound layers all have host- and workload-dependent payoffs.
+Backend choice, worker counts and the exactness-preserving prune/lower-bound
+layers all have host- and workload-dependent payoffs.
 ``RunConfig(backend="auto")`` hands the choice to :mod:`repro.tune`, which
 probes each candidate operating point on a synthetic workload of the run's
 shape and caches the verdict per (host, shape) key. This walkthrough:
@@ -70,8 +70,7 @@ with tempfile.TemporaryDirectory() as _scratch:
         )
         print(
             f"\nchosen point: backend={decision.backend} workers={decision.workers} "
-            f"tile_columns={decision.tile_columns} prune={decision.prune} "
-            f"lb_cascade={decision.lb_cascade}"
+            f"prune={decision.prune} lb_cascade={decision.lb_cascade}"
         )
 
         # ---- 2. A backend="auto" session end to end ------------------------

@@ -10,13 +10,12 @@ round. The subsystem is split into three layers:
 
 * :mod:`repro.batch.backends` — the pluggable **execution backends** behind a
   string-keyed registry (:func:`~repro.batch.backends.available_backends`):
-  :class:`NumpyBackend` advances the lane-stacked state in-process (with
-  optional cache-sized column tiling), :class:`ShardedProcessBackend` stripes
-  *lanes* across a persistent pool of worker processes with shared-memory
-  state blocks, :class:`ColumnShardedBackend` stripes *reference columns*
-  across the pool so even a single-channel genome-scale workload uses every
-  core, and :class:`GpuArrayBackend` keeps the whole state in device memory
-  behind an :class:`~repro.core.array_module.ArrayModule` (CuPy/Torch).
+  :class:`NumpyBackend` advances the lane-stacked state in-process,
+  :class:`ShardedProcessBackend` stripes *lanes* across a persistent pool of
+  worker processes with shared-memory state blocks, and
+  :class:`ColumnShardedBackend` stripes *reference columns* across the pool
+  so even a single-channel genome-scale workload uses every core (the
+  ``"native"`` compiled scalar loop lives in :mod:`repro.batch.native`).
   All backends are panel-aware: a multi-target
   :class:`~repro.core.panel.TargetPanel` advances in the same wavefront and
   reduces per target;
@@ -37,7 +36,6 @@ backends — so batching and sharding are purely execution-engine changes.
 from repro.batch.backends import (
     ColumnShardedBackend,
     ExecutionBackend,
-    GpuArrayBackend,
     NumpyBackend,
     ShardedProcessBackend,
     available_backends,
@@ -52,7 +50,6 @@ __all__ = [
     "BatchSquiggleClassifier",
     "ColumnShardedBackend",
     "ExecutionBackend",
-    "GpuArrayBackend",
     "LaneSnapshot",
     "NumpyBackend",
     "ShardedProcessBackend",

@@ -22,15 +22,13 @@ cost/local-end pair per lane, bit-identical to independent single-reference
 runs (a plain single reference is one block, so the arrays are just
 ``(n_lanes, 1)``).
 
-Three implementations are registered, mirroring how UNCALLED exposes its DTW
+Four implementations are registered, mirroring how UNCALLED exposes its DTW
 variants behind a string-keyed ``METHODS`` mapping:
 
 * :class:`NumpyBackend` (``"numpy"``) — the in-process path: one
   :class:`BatchSDTWState` in this process, advanced by
   :func:`~repro.core.sdtw.sdtw_resume_batch`. Exactly the execution PR 2's
-  monolithic engine performed. ``tile_columns`` optionally advances the
-  columns in cache-sized blocks (same results; fewer full-row memory sweeps
-  on genome-scale references).
+  monolithic engine performed.
 * :class:`ShardedProcessBackend` (``"sharded"``) — **lanes** striped across a
   persistent pool of worker processes, one shard of the stacked state
   resident per worker. Per round only the ragged query chunks travel down
@@ -48,25 +46,17 @@ variants behind a string-keyed ``METHODS`` mapping:
   partial minima, which the parent merges left-to-right. This is the shape
   that parallelizes a **single-channel genome-scale** workload, where lane
   sharding has nothing to stripe.
-* :class:`GpuArrayBackend` (``"gpu"``) — the lane-stacked state resident in
-  **device memory**, advanced by the same wavefront kernel through a
-  :class:`~repro.core.array_module.ArrayModule` (CuPy preferred, Torch as a
-  fallback). The name is always registered; instantiating it without a GPU
-  array library raises a :class:`RuntimeError` with an install hint, and
-  ``array_module="numpy"`` runs the device code path on the host (how CI
-  covers it without a GPU). ``tile_columns`` bounds the per-advance working
-  set — device-memory micro-batching over the exact halo-tiled advance.
 * :class:`~repro.batch.native.NativeBackend` (``"native"``) — the int32 fast
   path compiled to a Numba ``njit`` scalar loop, where pruning's early
-  abandoning is a real ``break`` instead of a masked vector op. Like
-  ``"gpu"`` without CuPy, the name is always registered and construction
-  without Numba raises with an install hint.
+  abandoning is a real ``break`` instead of a masked vector op. The name is
+  always registered and construction without Numba raises with an install
+  hint.
 
 All backends run the same kernel on the same per-lane state, so per-lane,
 per-target costs, rows and therefore Read Until decisions are bit-identical —
 backend selection is purely an execution concern, which is what lets
-``BatchSquiggleClassifier(..., backend="sharded")`` scale a full flowcell
-across cores without touching decision logic.
+``RunConfig(backend="sharded")`` scale a full flowcell across cores without
+touching decision logic.
 
 Every ``advance`` additionally accepts per-lane ``prune_bounds`` (kill
 thresholds for the kernel's pruning layer — see
@@ -84,11 +74,10 @@ import time
 import traceback
 from math import ceil
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.array_module import ArrayModule, get_array_module, gpu_array_module
 from repro.core.config import SDTWConfig
 from repro.obs.trace import NULL_TRACER, Tracer, worker_span
 from repro.core.sdtw import (
@@ -97,7 +86,6 @@ from repro.core.sdtw import (
     normalize_block_starts,
     reduce_block_minima,
     sdtw_resume_batch,
-    sdtw_resume_batch_arrays,
     tile_block_starts,
     tile_halo_start,
 )
@@ -105,7 +93,6 @@ from repro.core.sdtw import (
 __all__ = [
     "ColumnShardedBackend",
     "ExecutionBackend",
-    "GpuArrayBackend",
     "NumpyBackend",
     "ShardedProcessBackend",
     "available_backends",
@@ -268,9 +255,7 @@ class NumpyBackend:
     This is PR 2's engine execution extracted verbatim: ``advance`` gathers
     the listed lanes into a contiguous stacked state, runs one
     :func:`sdtw_resume_batch` wavefront, and scatters the advanced rows back.
-    ``block_starts`` makes the reference a multi-target panel column space;
-    ``tile_columns`` advances the columns in cache-sized blocks (identical
-    results — see the kernel's tiling notes).
+    ``block_starts`` makes the reference a multi-target panel column space.
     """
 
     backend_name = "numpy"
@@ -284,7 +269,6 @@ class NumpyBackend:
         config: Optional[SDTWConfig] = None,
         capacity: int = 8,
         block_starts: Optional[np.ndarray] = None,
-        tile_columns: Optional[int] = None,
     ) -> None:
         self.config = config if config is not None else SDTWConfig()
         self.reference_values = np.asarray(
@@ -292,10 +276,7 @@ class NumpyBackend:
         )
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if tile_columns is not None and tile_columns <= 0:
-            raise ValueError("tile_columns must be positive")
         self.block_starts = normalize_block_starts(block_starts, self.reference_values.size)
-        self.tile_columns = None if tile_columns is None else int(tile_columns)
         self.stats = AdvanceStats()
         self._state = BatchSDTWState.initial(
             capacity, self.reference_values.size, self.config
@@ -352,7 +333,6 @@ class NumpyBackend:
                     state=gathered,
                     track_runs=False,
                     block_starts=self.block_starts,
-                    tile_columns=self.tile_columns,
                     prune_bounds=prune_bounds,
                     stats=self.stats,
                 )
@@ -1271,204 +1251,6 @@ class ColumnShardedBackend(_WorkerPoolBackend):
             views.rows[lanes] = state.rows[:, tile_start:tile_end]
             views.runs[lanes] = state.runs[:, tile_start:tile_end]
             views.samples[lanes] = state.samples_processed
-
-
-# ----------------------------------------------------------------- gpu backend
-@register_backend("gpu")
-class GpuArrayBackend:
-    """Lane-stacked state resident in device memory, advanced on the device.
-
-    The wavefront is ``(lanes, reference)`` matrix operations, so the whole
-    advance maps onto a GPU array library unchanged: this backend holds
-    rows/runs/samples as device arrays and calls
-    :func:`~repro.core.sdtw.sdtw_resume_batch_arrays` with the resolved
-    :class:`~repro.core.array_module.ArrayModule` — CuPy when importable,
-    Torch as a fallback (:func:`~repro.core.array_module.gpu_array_module`).
-    Only the ragged query chunks go up and the ``(lanes, n_blocks)``
-    per-target cost/end reductions come back per round; the DP rows never
-    leave the device. ``tile_columns`` bounds the per-advance working set by
-    running the exact halo-tiled advance tile by tile — device-memory
-    micro-batching over the same interface the in-process backend tiles
-    with.
-
-    The registry entry always exists so configs naming ``"gpu"`` validate
-    everywhere; construction without a GPU array library raises a
-    :class:`RuntimeError` with an install hint. ``array_module`` overrides
-    the resolution — an :class:`ArrayModule`, or a registered name;
-    ``array_module="numpy"`` runs this exact code path on host arrays,
-    which is how the test suite covers the backend bit-for-bit on machines
-    (and CI runners) without a GPU.
-    """
-
-    backend_name = "gpu"
-    tracer: Tracer = NULL_TRACER
-
-    def __init__(
-        self,
-        reference: np.ndarray,
-        config: Optional[SDTWConfig] = None,
-        capacity: int = 8,
-        block_starts: Optional[np.ndarray] = None,
-        tile_columns: Optional[int] = None,
-        array_module: Union[None, str, ArrayModule] = None,
-    ) -> None:
-        self.config = config if config is not None else SDTWConfig()
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if tile_columns is not None and tile_columns <= 0:
-            raise ValueError("tile_columns must be positive")
-        if array_module is None:
-            xp = gpu_array_module(required=True)
-        elif isinstance(array_module, str):
-            xp = get_array_module(array_module)
-        else:
-            xp = array_module
-        self.xp = xp
-        host_reference = np.asarray(
-            reference, dtype=np.int64 if self.config.quantize else np.float64
-        )
-        self.block_starts = normalize_block_starts(block_starts, host_reference.size)
-        self.tile_columns = None if tile_columns is None else int(tile_columns)
-        self._reference_length = int(host_reference.size)
-        self._rows_dtype = xp.int64 if self.config.quantize else xp.float64
-        self.reference_values = xp.asarray(host_reference, dtype=self._rows_dtype)
-        self._rows = xp.zeros((capacity, self._reference_length), dtype=self._rows_dtype)
-        self._runs = xp.ones((capacity, self._reference_length), dtype=xp.int64)
-        self._samples = xp.zeros(capacity, dtype=xp.int64)
-        self.stats = AdvanceStats()
-        self._closed = False
-
-    # ----------------------------------------------------------- bookkeeping
-    @property
-    def capacity(self) -> int:
-        return int(self._rows.shape[0])
-
-    @property
-    def reference_length(self) -> int:
-        return self._reference_length
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self.block_starts.size)
-
-    def _device_lanes(self, lanes: np.ndarray):
-        return self.xp.asarray([int(lane) for lane in np.asarray(lanes).ravel()], dtype=self.xp.intp)
-
-    def _device_sync(self) -> None:
-        """Drain queued device work so span boundaries measure real time.
-
-        GPU array libraries enqueue asynchronously, so without a sync the
-        wavefront span would close after *launching* the kernels, not after
-        they ran. Only called when tracing (a sync changes timing, never
-        results); a no-op for host array modules.
-        """
-        cuda = getattr(getattr(self.xp, "module", None), "cuda", None)
-        if cuda is None:  # numpy or another host module
-            return
-        if hasattr(cuda, "synchronize"):  # torch
-            if getattr(cuda, "is_available", lambda: False)():
-                cuda.synchronize()
-        elif hasattr(cuda, "Stream"):  # cupy
-            cuda.Stream.null.synchronize()
-
-    # ------------------------------------------------------------- lifecycle
-    def allocate(self, min_capacity: int) -> None:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        xp = self.xp
-        old_capacity = self.capacity
-        if min_capacity <= old_capacity:
-            return
-        rows = xp.zeros((min_capacity, self._reference_length), dtype=self._rows_dtype)
-        runs = xp.ones((min_capacity, self._reference_length), dtype=xp.int64)
-        samples = xp.zeros(min_capacity, dtype=xp.int64)
-        rows[:old_capacity] = self._rows
-        runs[:old_capacity] = self._runs
-        samples[:old_capacity] = self._samples
-        self._rows, self._runs, self._samples = rows, runs, samples
-
-    def reset(self, lanes: np.ndarray) -> None:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        index = self._device_lanes(lanes)
-        self._rows[index] = 0
-        self._runs[index] = 1
-        self._samples[index] = 0
-
-    def advance(
-        self,
-        lanes: np.ndarray,
-        queries: Sequence[np.ndarray],
-        prune_bounds: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        xp = self.xp
-        tracer = self.tracer
-        trace = tracer.enabled
-        with tracer.span("backend.advance", backend="gpu", n_lanes=int(np.size(lanes))):
-            with tracer.span("backend.upload"):
-                index = self._device_lanes(lanes)
-                device_queries = [
-                    xp.asarray(query, dtype=self._rows_dtype) for query in queries
-                ]
-                if trace:
-                    self._device_sync()
-            with tracer.span("backend.wavefront"):
-                rows, runs, samples = sdtw_resume_batch_arrays(
-                    device_queries,
-                    self.reference_values,
-                    self.config,
-                    self._rows[index],
-                    self._runs[index],
-                    self._samples[index],
-                    track_runs=False,
-                    block_starts=self.block_starts,
-                    tile_columns=self.tile_columns,
-                    prune_bounds=prune_bounds,
-                    stats=self.stats,
-                    xp=xp,
-                )
-                if trace:
-                    self._device_sync()
-            with tracer.span("backend.scatter"):
-                self._rows[index] = rows
-                self._runs[index] = runs
-                self._samples[index] = samples
-            with tracer.span("backend.reduce"):
-                costs, ends = reduce_block_minima(rows, self.block_starts, xp=xp)
-                if trace:
-                    self._device_sync()
-            with tracer.span("backend.download"):
-                return xp.to_numpy(costs), xp.to_numpy(ends)
-
-    def gather(self, lanes: np.ndarray) -> BatchSDTWState:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        xp = self.xp
-        index = self._device_lanes(lanes)
-        return BatchSDTWState(
-            rows=xp.to_numpy(self._rows[index]),
-            runs=xp.to_numpy(self._runs[index]),
-            samples_processed=xp.to_numpy(self._samples[index]),
-        )
-
-    def scatter(self, lanes: np.ndarray, state: BatchSDTWState) -> None:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        xp = self.xp
-        index = self._device_lanes(lanes)
-        self._rows[index] = xp.asarray(state.rows, dtype=self._rows_dtype)
-        self._runs[index] = xp.asarray(state.runs, dtype=xp.int64)
-        self._samples[index] = xp.asarray(state.samples_processed, dtype=xp.int64)
-
-    def close(self) -> None:
-        """Release the device allocations. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._rows = self._runs = self._samples = None
-        self.reference_values = None
 
 
 # Registers the "native" backend; imported last because the module subclasses

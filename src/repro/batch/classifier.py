@@ -17,12 +17,10 @@ per-read runs make bit-identical decisions.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.batch.backends import ExecutionBackend
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
 from repro.core.normalization import NormalizationConfig, SignalNormalizer
@@ -38,10 +36,6 @@ if TYPE_CHECKING:  # duck-typed at runtime; avoids a hard runtime dependency
 
 __all__ = ["BatchSquiggleClassifier"]
 
-# Sentinel distinguishing "kwarg not passed" from any explicit value, so the
-# deprecation shim only fires when the legacy backend kwargs are really used.
-_UNSET: Any = object()
-
 
 class BatchSquiggleClassifier:
     """Single-stage sDTW classifier that advances all channels in lockstep.
@@ -51,15 +45,12 @@ class BatchSquiggleClassifier:
     in the same wavefront and terminal actions carry the per-target argmin
     (``Action.target`` / ``Action.target_costs``). ``run_config`` — a
     :class:`repro.runtime.RunConfig` — selects the execution backend the
-    engine advances lanes on (``"numpy"`` in-process, ``"sharded"`` /
-    ``"colsharded"`` across a worker-process pool, ``"gpu"`` on a device
-    array module — see :mod:`repro.batch.backends`); decisions are
-    bit-identical whichever backend runs. The pre-``RunConfig`` ``backend``
-    / ``backend_options`` kwargs still work but emit a
-    :class:`DeprecationWarning`. Call :meth:`close` (or use the classifier
-    as a context manager) to release a multi-process backend's workers —
-    or, better, let a :class:`repro.runtime.ReadUntilSession` own the
-    lifecycle.
+    engine advances lanes on (``"numpy"`` in-process when omitted,
+    ``"sharded"`` / ``"colsharded"`` across a worker-process pool — see
+    :mod:`repro.batch.backends`); decisions are bit-identical whichever
+    backend runs. Call :meth:`close` (or use the classifier as a context
+    manager) to release a multi-process backend's workers — or, better, let
+    a :class:`repro.runtime.ReadUntilSession` own the lifecycle.
     """
 
     supports_chunk_batching = True
@@ -73,41 +64,22 @@ class BatchSquiggleClassifier:
         prefix_samples: Optional[int] = None,
         name: Optional[str] = None,
         decision_latency_s: Optional[float] = None,
-        backend: Union[str, ExecutionBackend] = _UNSET,
-        backend_options: Optional[Mapping[str, Any]] = _UNSET,
         run_config: Optional["RunConfig"] = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
+        backend: str = "numpy"
+        backend_options: Optional[Mapping[str, Any]] = None
         if run_config is not None:
-            if backend is not _UNSET or backend_options is not _UNSET:
-                raise ValueError(
-                    "pass either run_config or the legacy backend/backend_options "
-                    "kwargs, not both"
-                )
             # The config is the declarative description of the run: any field
             # not explicitly overridden by a kwarg comes from it.
-            resolved_backend: Union[str, ExecutionBackend] = run_config.backend
-            resolved_options: Optional[Mapping[str, Any]] = (
-                run_config.resolved_backend_options()
-            )
+            backend = run_config.backend
+            backend_options = run_config.resolved_backend_options()
             if config is None:
                 config = run_config.hardware
             if threshold is None:
                 threshold = run_config.threshold
             if prefix_samples is None:
                 prefix_samples = run_config.prefix_samples
-        elif backend is _UNSET and backend_options is _UNSET:
-            resolved_backend, resolved_options = "numpy", None
-        else:
-            warnings.warn(
-                "BatchSquiggleClassifier(backend=..., backend_options=...) is "
-                "deprecated; describe the run with a repro.runtime.RunConfig and "
-                "pass run_config= (or drive it through repro.runtime.open_session)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            resolved_backend = "numpy" if backend is _UNSET else backend
-            resolved_options = None if backend_options is _UNSET else backend_options
         prefix_samples = 2000 if prefix_samples is None else prefix_samples
         if prefix_samples <= 0:
             raise ValueError(f"prefix_samples must be positive, got {prefix_samples}")
@@ -134,8 +106,8 @@ class BatchSquiggleClassifier:
         self.engine = BatchSDTWEngine(
             self.panel,
             self.config,
-            backend=resolved_backend,
-            backend_options=resolved_options,
+            backend=backend,
+            backend_options=backend_options,
             tracer=tracer,
             prune=prune,
             prune_margin=prune_margin,

@@ -27,10 +27,10 @@ by ``pip install -e .[native]``) for deployments without a JIT. The backend
 prefers the Cython build when it imports, falls back to Numba, and —
 ``jit=False`` / ``kernel="python"`` — runs the identical kernel as pure
 Python, which is how the test suite covers this backend's code path
-bit-for-bit on machines (and CI runners) with neither. Like ``"gpu"``
-without CuPy, the name is always registered so configs naming ``"native"``
-validate everywhere; *constructing* the backend with no compiled kernel
-available raises a :class:`RuntimeError` with an install hint.
+bit-for-bit on machines (and CI runners) with neither. The name is always
+registered so configs naming ``"native"`` validate everywhere;
+*constructing* the backend with no compiled kernel available raises a
+:class:`RuntimeError` with an install hint.
 
 Configurations outside the integer data path (float kernels, squared
 distance, fractional bonus) fall back to the inherited
@@ -242,7 +242,6 @@ class NativeBackend(NumpyBackend):
         config: Optional[SDTWConfig] = None,
         capacity: int = 8,
         block_starts: Optional[np.ndarray] = None,
-        tile_columns: Optional[int] = None,
         jit: bool = True,
         kernel: Optional[str] = None,
     ) -> None:
@@ -283,11 +282,7 @@ class NativeBackend(NumpyBackend):
             )
         self.kernel_name = kernel
         super().__init__(
-            reference,
-            config=config,
-            capacity=capacity,
-            block_starts=block_starts,
-            tile_columns=tile_columns,
+            reference, config=config, capacity=capacity, block_starts=block_starts
         )
         cfg = self.config
         self._scalar_eligible = (

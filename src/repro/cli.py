@@ -18,8 +18,7 @@ Six subcommands cover the library's main workflows without writing Python:
   explicit flags (flags win): ``--batch`` switches onto the batched
   wavefront engine, ``--backend`` (choices generated from
   :func:`repro.batch.available_backends`, with ``--workers N`` for the
-  multi-process backends and ``--tile-columns`` for the in-process/device
-  ones) picks the execution backend, ``--prune`` (with ``--prune-margin``)
+  multi-process backends) picks the execution backend, ``--prune`` (with ``--prune-margin``)
   turns on the early-abandoning sDTW pruning layer (decisions stay
   bit-identical), ``--lb-cascade`` (with ``--lb-level``) adds the
   lower-bound lane gate on top of it, and ``--target-panel N`` screens N
@@ -120,13 +119,12 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="execution backend for the batched wavefront engine (choices "
         "come straight from the backend registry, plus 'auto' to let the "
-        "repro.tune probes pick the backend/workers/tile point for this "
+        "repro.tune probes pick the backend/workers point for this "
         "host and workload shape): 'numpy' advances all "
         "lanes in-process, 'sharded' stripes lanes across a worker-process "
         "pool, 'colsharded' stripes reference columns across the pool for "
-        "genome-scale references, 'gpu' keeps the state in device memory "
-        "via CuPy/Torch (implies the batch classifier; decisions are "
-        "identical whichever backend runs)",
+        "genome-scale references (implies the batch classifier; decisions "
+        "are identical whichever backend runs)",
     )
     parser.add_argument(
         "--workers",
@@ -135,14 +133,6 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the multi-process backends (requires "
         "--backend sharded or colsharded; default: one per spare core, "
         "capped at 8)",
-    )
-    parser.add_argument(
-        "--tile-columns",
-        type=int,
-        default=None,
-        help="column tile width for the in-process/device backends "
-        "(cache-sized or device-memory micro-batched advance; exact "
-        "results either way)",
     )
     parser.add_argument(
         "--prune",
@@ -209,7 +199,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     overrides = {
         "backend": args.backend,
         "workers": args.workers,
-        "tile_columns": args.tile_columns,
         "batch": args.batch,
         "n_channels": args.n_channels,
         "prefix_samples": args.prefix_samples,
@@ -310,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with backend 'auto', run the repro.tune probes (or hit the "
         "tuning cache) and print the config with the tuned "
-        "backend/workers/tile_columns pinned — ready to commit",
+        "backend/workers pinned — ready to commit",
     )
 
     tune = subparsers.add_parser(
@@ -765,7 +754,6 @@ def _command_tune(args: argparse.Namespace) -> int:
     chosen = [
         {"property": "backend", "value": decision.backend},
         {"property": "workers", "value": decision.workers},
-        {"property": "tile_columns", "value": decision.tile_columns},
         {"property": "prune", "value": decision.prune},
         {"property": "lb_cascade", "value": decision.lb_cascade},
         {"property": "cache_hit", "value": decision.cache_hit},

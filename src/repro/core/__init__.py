@@ -1,12 +1,5 @@
 """Core SquiggleFilter algorithm: normalization, reference squiggles and sDTW."""
 
-from repro.core.array_module import (
-    ArrayModule,
-    available_array_modules,
-    get_array_module,
-    gpu_array_module,
-    register_array_module,
-)
 from repro.core.config import SDTWConfig
 from repro.core.dtw import dtw_cost, dtw_path
 from repro.core.filter import (
@@ -29,14 +22,12 @@ from repro.core.sdtw import (
     sdtw_last_row,
     sdtw_resume,
     sdtw_resume_batch,
-    sdtw_resume_batch_arrays,
 )
 from repro.core.thresholds import ThresholdSweepResult, choose_threshold, sweep_thresholds
 from repro.core.variants import ABLATION_VARIANTS, variant_config
 
 __all__ = [
     "ABLATION_VARIANTS",
-    "ArrayModule",
     "BatchSDTWState",
     "FilterDecision",
     "FilterStage",
@@ -51,14 +42,10 @@ __all__ = [
     "SquiggleFilter",
     "TargetPanel",
     "ThresholdSweepResult",
-    "available_array_modules",
     "build_default_filter",
     "choose_threshold",
-    "get_array_module",
-    "gpu_array_module",
     "normalize_block_starts",
     "reduce_block_minima",
-    "register_array_module",
     "dtw_cost",
     "dtw_path",
     "sdtw_cost",
@@ -66,7 +53,6 @@ __all__ = [
     "sdtw_last_row",
     "sdtw_resume",
     "sdtw_resume_batch",
-    "sdtw_resume_batch_arrays",
     "sweep_thresholds",
     "variant_config",
 ]

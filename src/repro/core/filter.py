@@ -14,7 +14,6 @@ sequencing while low-confidence reads get more signal before the decision.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -37,35 +36,13 @@ if TYPE_CHECKING:  # duck-typed at runtime; avoids a hard runtime dependency
 DEFAULT_PREFIX_SAMPLES = 2000
 
 
-def _resolve_batch_backend(
-    backend: Union[None, str, ExecutionBackend],
-    backend_options: Optional[Mapping[str, Any]],
+def _run_backend(
     run_config: Optional["RunConfig"],
-    method: str,
-) -> Tuple[Union[str, ExecutionBackend], Optional[Mapping[str, Any]]]:
-    """Shared shim resolving the execution backend of a batch method.
-
-    The modern spelling is ``run_config=RunConfig(...)``; the pre-``RunConfig``
-    ``backend=``/``backend_options=`` kwargs still work but emit a
-    :class:`DeprecationWarning` (decisions are identical either way).
-    """
-    if run_config is not None:
-        if backend is not None or backend_options is not None:
-            raise ValueError(
-                f"{method}: pass either run_config or the legacy "
-                "backend/backend_options kwargs, not both"
-            )
-        return run_config.backend, run_config.resolved_backend_options()
-    if backend is None and backend_options is None:
+) -> Tuple[str, Optional[Mapping[str, Any]]]:
+    """The execution backend (and its options) a batch method runs on."""
+    if run_config is None:
         return "numpy", None
-    warnings.warn(
-        f"{method}(backend=..., backend_options=...) is deprecated; describe "
-        "the run with a repro.runtime.RunConfig and pass run_config= (or "
-        "drive it through repro.runtime.open_session)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return (backend if backend is not None else "numpy"), backend_options
+    return run_config.backend, run_config.resolved_backend_options()
 
 
 @dataclass(frozen=True)
@@ -259,8 +236,6 @@ class SquiggleFilter:
         self,
         raw_signals: Sequence[np.ndarray],
         prefix_samples: Optional[int] = None,
-        backend: Union[None, str, ExecutionBackend] = None,
-        backend_options: Optional[Mapping[str, Any]] = None,
         run_config: Optional["RunConfig"] = None,
     ) -> List[float]:
         """Alignment costs for many reads via one batched wavefront.
@@ -269,29 +244,15 @@ class SquiggleFilter:
         execution backend runs the wavefront; the calibration and sweep
         helpers use this so experiments stop looping the kernel in Python.
         ``run_config`` (a :class:`repro.runtime.RunConfig`) names the
-        backend; the legacy ``backend=`` kwarg still works behind a
-        :class:`DeprecationWarning`.
+        backend (in-process numpy when omitted).
         """
-        backend, backend_options = _resolve_batch_backend(
-            backend, backend_options, run_config, "SquiggleFilter.cost_batch"
-        )
-        return self._cost_batch(raw_signals, prefix_samples, backend, backend_options)
-
-    def _cost_batch(
-        self,
-        raw_signals: Sequence[np.ndarray],
-        prefix_samples: Optional[int] = None,
-        backend: Union[str, ExecutionBackend] = "numpy",
-        backend_options: Optional[Mapping[str, Any]] = None,
-    ) -> List[float]:
-        """:meth:`cost_batch` minus the shim (internal call sites)."""
         if not raw_signals:
             return []
         if self.config.allow_reference_deletions:
             # The vanilla recurrence is not resumable, hence not batchable.
             return [self.cost(signal, prefix_samples) for signal in raw_signals]
         _, snapshots = self._batch_states(
-            raw_signals, prefix_samples, backend, backend_options
+            raw_signals, prefix_samples, *_run_backend(run_config)
         )
         return [float(snapshot.cost) for snapshot in snapshots]
 
@@ -300,8 +261,6 @@ class SquiggleFilter:
         raw_signals: Sequence[np.ndarray],
         threshold: Optional[float] = None,
         prefix_samples: Optional[int] = None,
-        backend: Union[None, str, ExecutionBackend] = None,
-        backend_options: Optional[Mapping[str, Any]] = None,
         run_config: Optional["RunConfig"] = None,
     ) -> List[FilterDecision]:
         """Classify a batch of reads with one batched sDTW wavefront.
@@ -310,14 +269,10 @@ class SquiggleFilter:
         runs through :class:`~repro.batch.BatchSDTWEngine` (one set of matrix
         ops per wavefront step across all reads) instead of a Python loop.
         ``run_config`` (a :class:`repro.runtime.RunConfig`) selects the
-        execution backend without changing any decision; the legacy
-        ``backend=`` kwarg still works behind a :class:`DeprecationWarning`.
+        execution backend without changing any decision.
         """
-        backend, backend_options = _resolve_batch_backend(
-            backend, backend_options, run_config, "SquiggleFilter.classify_batch"
-        )
         return self._classify_batch(
-            raw_signals, threshold, prefix_samples, backend, backend_options
+            raw_signals, threshold, prefix_samples, *_run_backend(run_config)
         )
 
     def _classify_batch(
@@ -328,7 +283,7 @@ class SquiggleFilter:
         backend: Union[str, ExecutionBackend] = "numpy",
         backend_options: Optional[Mapping[str, Any]] = None,
     ) -> List[FilterDecision]:
-        """:meth:`classify_batch` minus the shim (internal call sites)."""
+        """:meth:`classify_batch` on a named backend or a borrowed instance."""
         effective_threshold = threshold if threshold is not None else self.threshold
         if effective_threshold is None:
             raise ValueError(
@@ -370,8 +325,8 @@ class SquiggleFilter:
     ) -> float:
         """Choose and store a threshold from labelled calibration reads."""
         self.threshold = choose_threshold(
-            self._cost_batch(target_signals, prefix_samples),
-            self._cost_batch(nontarget_signals, prefix_samples),
+            self.cost_batch(target_signals, prefix_samples),
+            self.cost_batch(nontarget_signals, prefix_samples),
             objective=objective,
             target_recall=target_recall,
         )
@@ -457,8 +412,6 @@ class MultiStageSquiggleFilter:
     def classify_batch(
         self,
         raw_signals: Sequence[np.ndarray],
-        backend: Union[None, str, ExecutionBackend] = None,
-        backend_options: Optional[Mapping[str, Any]] = None,
         run_config: Optional["RunConfig"] = None,
     ) -> List[FilterDecision]:
         """Stage-by-stage batched classification.
@@ -467,15 +420,12 @@ class MultiStageSquiggleFilter:
         wavefront (:meth:`SquiggleFilter.classify_batch`), so a calibration
         sweep over N reads costs ``n_stages`` kernel launches instead of up
         to ``N * n_stages``. Decisions are identical to per-read
-        :meth:`classify` calls, on whichever execution backend —
-        ``run_config`` names it; the legacy ``backend=`` kwarg still works
-        behind a :class:`DeprecationWarning`. A backend named by string is
-        instantiated **once** and reused across every stage (one worker-pool
-        spawn per call for ``"sharded"``, not one per stage), then released.
+        :meth:`classify` calls, on whichever execution backend
+        ``run_config`` names. A non-numpy backend is instantiated **once**
+        and reused across every stage (one worker-pool spawn per call for
+        ``"sharded"``, not one per stage), then released.
         """
-        backend, backend_options = _resolve_batch_backend(
-            backend, backend_options, run_config, "MultiStageSquiggleFilter.classify_batch"
-        )
+        backend, backend_options = _run_backend(run_config)
         signals = [np.asarray(signal, dtype=np.float64) for signal in raw_signals]
         owned: Optional[ExecutionBackend] = None
         if isinstance(backend, str) and backend != "numpy" and signals:
@@ -538,8 +488,8 @@ class MultiStageSquiggleFilter:
         helper = SquiggleFilter(reference, config=config, normalization=normalization)
         stages: List[FilterStage] = []
         for index, prefix in enumerate(prefix_lengths):
-            target_costs = helper._cost_batch(target_signals, prefix)
-            nontarget_costs = helper._cost_batch(nontarget_signals, prefix)
+            target_costs = helper.cost_batch(target_signals, prefix)
+            nontarget_costs = helper.cost_batch(nontarget_signals, prefix)
             is_last = index == len(prefix_lengths) - 1
             threshold = choose_threshold(
                 target_costs,

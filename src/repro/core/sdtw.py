@@ -28,14 +28,9 @@ matrix operations per wavefront step — the kernel every execution backend of
 backend, once per shard inside each worker for the ``sharded`` backend; see
 :mod:`repro.batch.backends`). Per-lane results are bit-identical to per-read
 :func:`sdtw_resume` calls, which is what makes the backends interchangeable.
-
-The batched wavefront is **device-agnostic**: every array operation on that
-path is routed through an :class:`~repro.core.array_module.ArrayModule`
-("xp") instead of calling NumPy directly, so the same kernel advances state
-held in host memory or on an accelerator (CuPy / Torch — the ``"gpu"``
-execution backend). :func:`sdtw_resume_batch` is the NumPy-facing wrapper;
-:func:`sdtw_resume_batch_arrays` is the raw-array core device backends call
-with their own ``xp``.
+The batched wavefront has two numpy paths: the generic recurrence (the
+oracle, any resumable configuration) and an ``int32`` fast path for the
+all-integer hardware data path.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.array_module import ArrayModule, numpy_module
 from repro.core.config import SDTWConfig
 
 __all__ = [
@@ -63,7 +57,6 @@ __all__ = [
     "sdtw_last_row",
     "sdtw_resume",
     "sdtw_resume_batch",
-    "sdtw_resume_batch_arrays",
 ]
 
 
@@ -224,8 +217,7 @@ def tile_halo_start(block_starts: np.ndarray, tile_start: int, halo_width: int) 
     ``halo_width`` (the longest chunk this round) columns suffice — and a
     block boundary severs the dependency entirely, so the halo never has to
     cross the nearest block start at or before the tile. This is the single
-    definition of the tiling invariant; the in-process tiled kernel and the
-    column-sharded workers must use the same one.
+    definition of the tiling invariant the column-sharded workers rely on.
     """
     nearest_block = int(
         block_starts[np.searchsorted(block_starts, tile_start, side="right") - 1]
@@ -250,7 +242,7 @@ def tile_block_starts(
 
 
 def reduce_block_minima(
-    rows: np.ndarray, block_starts: np.ndarray, xp: Optional[ArrayModule] = None
+    rows: np.ndarray, block_starts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block (per-target) cost and end-position reduction of DP rows.
 
@@ -259,21 +251,18 @@ def reduce_block_minima(
     Returns ``(costs, ends)`` of shape ``(n_lanes, n_blocks)`` where
     ``costs[l, b]`` is the row minimum inside block ``b`` and ``ends[l, b]``
     its argmin *local to the block* — exactly the cost/end an independent
-    single-reference run over that target would report. ``xp`` selects the
-    array module the reduction runs on (the module holding ``rows``); the
-    outputs stay in that module's memory space.
+    single-reference run over that target would report.
     """
-    xp = xp if xp is not None else numpy_module()
-    rows = xp.asarray(rows)
+    rows = np.asarray(rows)
     n_lanes, n_columns = rows.shape
     starts = normalize_block_starts(block_starts, int(n_columns))
     bounds = [int(start) for start in starts] + [int(n_columns)]
-    costs = xp.empty((n_lanes, starts.size), dtype=rows.dtype)
-    ends = xp.empty((n_lanes, starts.size), dtype=xp.intp)
-    lane_index = xp.arange(n_lanes)
+    costs = np.empty((n_lanes, starts.size), dtype=rows.dtype)
+    ends = np.empty((n_lanes, starts.size), dtype=np.intp)
+    lane_index = np.arange(n_lanes)
     for block in range(starts.size):
         segment = rows[:, bounds[block] : bounds[block + 1]]
-        block_ends = xp.argmin(segment, 1)
+        block_ends = np.argmin(segment, 1)
         ends[:, block] = block_ends
         costs[:, block] = segment[lane_index, block_ends]
     return costs, ends
@@ -549,7 +538,6 @@ def sdtw_resume_batch(
     state: Optional[BatchSDTWState] = None,
     track_runs: bool = True,
     block_starts: Optional[np.ndarray] = None,
-    tile_columns: Optional[int] = None,
     prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
 ) -> BatchSDTWState:
@@ -593,15 +581,6 @@ def sdtw_resume_batch(
     advances the whole panel. Reduce per target afterwards with
     :func:`reduce_block_minima`.
 
-    ``tile_columns`` advances the columns in blocks of (at most) that width
-    instead of sweeping the whole row every wavefront step. Because
-    information moves at most one column rightward per query step, each tile
-    extended with a left *halo* of ``max(chunk length)`` columns of the
-    pre-advance state computes its own columns exactly; the halo region is
-    recomputed and discarded. Outputs are bit-identical to the untiled
-    advance — tiling is purely an execution-locality knob (keep a hot tile in
-    cache across all steps of a chunk; stripe tiles across workers).
-
     ``prune_bounds`` (one kill threshold per lane, ``inf`` = never prune the
     lane) turns on the pruning layer: columns whose stored cost exceeds the
     lane's bound are *frozen* at their exact pre-round value and only the
@@ -620,13 +599,12 @@ def sdtw_resume_batch(
     if cfg.allow_reference_deletions:
         raise ValueError("sdtw_resume_batch requires allow_reference_deletions=False")
 
-    xp = numpy_module()
-    input_dtype = xp.int64 if cfg.quantize else xp.float64
-    reference_values = xp.asarray(reference, dtype=input_dtype)
+    input_dtype = np.int64 if cfg.quantize else np.float64
+    reference_values = np.asarray(reference, dtype=input_dtype)
     if reference_values.ndim != 1 or reference_values.shape[0] == 0:
         raise ValueError("reference must be a non-empty 1-D array")
 
-    lanes = [xp.asarray(q, dtype=input_dtype) for q in queries]
+    lanes = [np.asarray(q, dtype=input_dtype) for q in queries]
     if any(lane.ndim != 1 for lane in lanes):
         raise ValueError("every lane query must be a 1-D array")
     n_lanes = len(lanes)
@@ -641,7 +619,7 @@ def sdtw_resume_batch(
             f"reference length {int(reference_values.shape[0])}"
         )
 
-    rows, runs, processed = sdtw_resume_batch_arrays(
+    rows, runs, processed = _resume_batch_arrays(
         lanes,
         reference_values,
         cfg,
@@ -650,15 +628,13 @@ def sdtw_resume_batch(
         state.samples_processed,
         track_runs=track_runs,
         block_starts=block_starts,
-        tile_columns=tile_columns,
         prune_bounds=prune_bounds,
         stats=stats,
-        xp=xp,
     )
     return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
 
 
-def sdtw_resume_batch_arrays(
+def _resume_batch_arrays(
     lanes: Sequence[np.ndarray],
     reference_values: np.ndarray,
     config: SDTWConfig,
@@ -667,29 +643,19 @@ def sdtw_resume_batch_arrays(
     samples_processed: np.ndarray,
     track_runs: bool = True,
     block_starts: Optional[np.ndarray] = None,
-    tile_columns: Optional[int] = None,
     prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
-    xp: Optional[ArrayModule] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batched wavefront on raw, possibly device-resident, arrays.
+    """The batched wavefront on raw, already-validated arrays.
 
-    This is the device-agnostic core of :func:`sdtw_resume_batch`: every
-    array operation is issued through the
-    :class:`~repro.core.array_module.ArrayModule` ``xp`` (NumPy by default),
-    so the identical kernel advances CuPy or Torch arrays when an
-    accelerator backend supplies them — the ``"gpu"`` execution backend
-    calls this function directly with its device state. ``lanes``,
-    ``reference_values``, ``rows``, ``runs`` and ``samples_processed`` must
-    already live in ``xp``'s memory space on the kernel scale (shaped as in
+    ``lanes``, ``reference_values``, ``rows``, ``runs`` and
+    ``samples_processed`` are on the kernel scale (shaped as in
     :class:`BatchSDTWState`); the inputs are never mutated and three new
-    arrays ``(rows, runs, samples_processed)`` come back in the same memory
-    space. Ordering metadata (the lane sort, each wavefront step's active
-    prefix width) is computed host-side with plain Python — it is control
-    flow, not data, and keeping it off the device avoids a sync per step.
+    arrays ``(rows, runs, samples_processed)`` come back. Ordering metadata
+    (the lane sort, each wavefront step's active prefix width) is plain
+    Python — control flow, not data.
     """
     cfg = config
-    xp = xp if xp is not None else numpy_module()
     n_lanes = len(lanes)
     reference_length = int(reference_values.shape[0])
     starts = normalize_block_starts(block_starts, reference_length)
@@ -697,47 +663,40 @@ def sdtw_resume_batch_arrays(
     bonus = float(cfg.match_bonus)
     cap = cfg.match_bonus_cap
     lengths = [int(lane.shape[0]) for lane in lanes]
-    processed = samples_processed + xp.asarray(lengths, dtype=xp.int64)
+    processed = samples_processed + np.asarray(lengths, dtype=np.int64)
     if n_lanes == 0 or max(lengths, default=0) == 0:
-        return xp.copy(rows), xp.copy(runs), processed
+        return rows.copy(), runs.copy(), processed
 
     if prune_bounds is not None:
-        bounds_host = np.asarray(prune_bounds, dtype=np.float64).ravel()
-        if bounds_host.shape[0] != n_lanes:
+        bounds = np.asarray(prune_bounds, dtype=np.float64).ravel()
+        if bounds.shape[0] != n_lanes:
             raise ValueError(
-                f"prune_bounds has {bounds_host.shape[0]} entries "
+                f"prune_bounds has {bounds.shape[0]} entries "
                 f"but {n_lanes} lanes were given"
             )
-        if not np.all(np.isinf(bounds_host)):
+        if not np.all(np.isinf(bounds)):
             return _resume_batch_pruned(
                 lanes, reference_values, cfg, rows, runs, samples_processed,
-                track_runs, starts, tile_columns, processed, bounds_host,
-                stats, xp,
+                track_runs, starts, processed, bounds, stats,
             )
     if stats is not None:
         stats.add(sum(lengths) * reference_length, 0)
 
-    if tile_columns is not None and 0 < int(tile_columns) < reference_length:
-        return _resume_batch_tiled(
-            lanes, reference_values, cfg, rows, runs, samples_processed,
-            track_runs, starts, int(tile_columns), processed, max(lengths), xp,
-        )
-
     # A fresh lane consumes its first sample as the initial DP row and joins
     # the wavefront afterwards, so its effective step count is one shorter.
-    samples_host = xp.to_numpy(samples_processed)
-    fresh = [lengths[i] > 0 and int(samples_host[i]) == 0 for i in range(n_lanes)]
+    fresh = [lengths[i] > 0 and int(samples_processed[i]) == 0 for i in range(n_lanes)]
     effective = [lengths[i] - (1 if fresh[i] else 0) for i in range(n_lanes)]
-    order = xp.stable_argsort_descending(effective)
+    # Descending effective length, ties in input order (a stable sort).
+    order = sorted(range(n_lanes), key=lambda index: -effective[index])
     inverse = [0] * n_lanes
     for position, lane_index in enumerate(order):
         inverse[lane_index] = position
     neg_sorted = [-effective[i] for i in order]
     max_steps = effective[order[0]]
 
-    input_dtype = xp.int64 if cfg.quantize else xp.float64
-    padded = xp.zeros((n_lanes, max(max_steps, 1)), dtype=input_dtype)
-    first_values = xp.zeros(n_lanes, dtype=input_dtype)
+    input_dtype = np.int64 if cfg.quantize else np.float64
+    padded = np.zeros((n_lanes, max(max_steps, 1)), dtype=input_dtype)
+    first_values = np.zeros(n_lanes, dtype=input_dtype)
     for position, lane_index in enumerate(order):
         lane = lanes[lane_index]
         size = lengths[lane_index]
@@ -748,9 +707,9 @@ def sdtw_resume_batch_arrays(
             padded[position, : size - 1] = lane[1:]
         else:
             padded[position, :size] = lane
-    fresh_sorted = xp.asarray([fresh[i] for i in order], dtype=xp.bool_)
-    order_index = xp.asarray(order, dtype=xp.intp)
-    inverse_index = xp.asarray(inverse, dtype=xp.intp)
+    fresh_sorted = np.asarray([fresh[i] for i in order], dtype=np.bool_)
+    order_index = np.asarray(order, dtype=np.intp)
+    inverse_index = np.asarray(inverse, dtype=np.intp)
 
     use_int_path = (
         cfg.quantize
@@ -762,18 +721,18 @@ def sdtw_resume_batch_arrays(
         # The int32 path needs every intermediate cost to stay far from the
         # sentinel; bound it by what this call can add to what the state holds.
         value_bound = max(
-            int(xp.max(xp.abs(padded))),
-            int(xp.max(xp.abs(first_values))),
-            int(xp.max(xp.abs(reference_values))),
+            int(np.max(np.abs(padded))),
+            int(np.max(np.abs(first_values))),
+            int(np.max(np.abs(reference_values))),
         )
-        rows_bound = int(xp.max(xp.abs(rows)))
+        rows_bound = int(np.max(np.abs(rows)))
         growth = (2 * value_bound + int(bonus) + 1) * max(lengths)
         use_int_path = rows_bound + growth < 2**28
 
-    # Non-zero panel block boundaries, as an index array in xp's space (None
-    # for the single-block case so the kernels skip the sentinel writes).
+    # Non-zero panel block boundaries as an index array (None for the
+    # single-block case so the kernels skip the sentinel writes).
     inner_index = (
-        xp.asarray([int(start) for start in starts[1:]], dtype=xp.intp)
+        np.asarray([int(start) for start in starts[1:]], dtype=np.intp)
         if starts.size > 1
         else None
     )
@@ -791,10 +750,9 @@ def sdtw_resume_batch_arrays(
             cap,
             track_runs,
             inner_index,
-            xp,
         )
-        out_rows = xp.astype(out_rows, xp.int64)[inverse_index]
-        out_runs = xp.astype(out_runs, xp.int64)[inverse_index]
+        out_rows = out_rows.astype(np.int64)[inverse_index]
+        out_runs = out_runs.astype(np.int64)[inverse_index]
     else:
         out_rows, out_runs = _advance_batch_generic(
             padded,
@@ -807,61 +765,11 @@ def sdtw_resume_batch_arrays(
             reference_values,
             cfg,
             inner_index,
-            xp,
         )
         if cfg.quantize and cfg.uses_bonus:
-            out_rows = xp.astype(xp.rint(out_rows), xp.int64)
+            out_rows = np.rint(out_rows).astype(np.int64)
         out_rows = out_rows[inverse_index]
         out_runs = out_runs[inverse_index]
-    return out_rows, out_runs, processed
-
-
-def _resume_batch_tiled(
-    lanes: List[np.ndarray],
-    reference_values: np.ndarray,
-    cfg: SDTWConfig,
-    rows: np.ndarray,
-    runs: np.ndarray,
-    samples_processed: np.ndarray,
-    track_runs: bool,
-    starts: np.ndarray,
-    tile_columns: int,
-    processed: np.ndarray,
-    halo_width: int,
-    xp: ArrayModule,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-tiled advance: identical outputs, one cache-sized tile at a time.
-
-    Each tile re-runs the wavefront over ``[tile_start - halo, tile_end)``
-    using the *pre-advance* state; only the tile's own columns are kept. A
-    halo of ``max(chunk length)`` columns is sufficient because the
-    recurrence moves information at most one column rightward per query
-    step, and a tile starting exactly at a block boundary needs no halo at
-    all (the boundary sentinel cuts the dependency). On a device array
-    module this is the micro-batching knob: each halo-extended tile is a
-    bounded working set advanced end to end before the next tile streams in.
-    """
-    n_columns = int(reference_values.shape[0])
-    out_rows = xp.empty_like(rows)
-    out_runs = xp.empty_like(runs)
-    edges = list(range(0, n_columns, tile_columns)) + [n_columns]
-    for tile_start, tile_end in zip(edges[:-1], edges[1:]):
-        halo_start = tile_halo_start(starts, tile_start, halo_width)
-        sub_starts = tile_block_starts(starts, halo_start, tile_end)
-        advanced_rows, advanced_runs, _ = sdtw_resume_batch_arrays(
-            lanes,
-            reference_values[halo_start:tile_end],
-            cfg,
-            rows[:, halo_start:tile_end],
-            runs[:, halo_start:tile_end],
-            samples_processed,
-            track_runs=track_runs,
-            block_starts=sub_starts,
-            xp=xp,
-        )
-        keep = tile_start - halo_start
-        out_rows[:, tile_start:tile_end] = advanced_rows[:, keep:]
-        out_runs[:, tile_start:tile_end] = advanced_runs[:, keep:]
     return out_rows, out_runs, processed
 
 
@@ -874,11 +782,9 @@ def _resume_batch_pruned(
     samples_processed: np.ndarray,
     track_runs: bool,
     starts: np.ndarray,
-    tile_columns: Optional[int],
     processed: np.ndarray,
-    bounds_host: np.ndarray,
+    bounds: np.ndarray,
     stats: Optional[AdvanceStats],
-    xp: ArrayModule,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prune-bounded advance: exact below the bound, frozen above it.
 
@@ -902,27 +808,25 @@ def _resume_batch_pruned(
     reference_length = int(reference_values.shape[0])
     lengths = [int(lane.shape[0]) for lane in lanes]
     nominal = sum(lengths) * reference_length
-    samples_host = xp.to_numpy(samples_processed)
-    rows_host = xp.to_numpy(rows)
 
     surviving: List[int] = []
     union = np.zeros(reference_length, dtype=bool)
     for index in range(n_lanes):
         if lengths[index] == 0:
             continue
-        if int(samples_host[index]) == 0:
+        if int(samples_processed[index]) == 0:
             # A fresh lane's first sample initializes every column, so it
             # joins the wavefront unpruned this round.
             surviving.append(index)
             union[:] = True
             continue
-        alive = rows_host[index] <= bounds_host[index]
+        alive = rows[index] <= bounds[index]
         if alive.any():
             surviving.append(index)
             union |= alive
 
-    out_rows = xp.copy(rows)
-    out_runs = xp.copy(runs)
+    out_rows = rows.copy()
+    out_runs = runs.copy()
     if not surviving:
         if stats is not None:
             stats.add(0, nominal)
@@ -943,13 +847,13 @@ def _resume_batch_pruned(
         else:
             spans.append((lo, hi))
 
-    surviving_index = xp.asarray(surviving, dtype=xp.intp)
+    surviving_index = np.asarray(surviving, dtype=np.intp)
     sub_lanes = [lanes[index] for index in surviving]
     sub_samples = samples_processed[surviving_index]
     advanced_width = 0
     for lo, hi in spans:
         sub_starts = tile_block_starts(starts, lo, hi)
-        advanced_rows, advanced_runs, _ = sdtw_resume_batch_arrays(
+        advanced_rows, advanced_runs, _ = _resume_batch_arrays(
             sub_lanes,
             reference_values[lo:hi],
             cfg,
@@ -958,8 +862,6 @@ def _resume_batch_pruned(
             sub_samples,
             track_runs=track_runs,
             block_starts=sub_starts,
-            tile_columns=tile_columns,
-            xp=xp,
         )
         out_rows[:, lo:hi][surviving_index] = advanced_rows
         out_runs[:, lo:hi][surviving_index] = advanced_runs
@@ -983,7 +885,6 @@ def _advance_batch_int32(
     cap: int,
     track_runs: bool,
     inner_index: Optional[np.ndarray],
-    xp: ArrayModule,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integer wavefront over lane-sorted state (the hardware data path).
 
@@ -995,28 +896,28 @@ def _advance_batch_int32(
     in-place ``minimum``/``add`` passes over contiguous prefixes.
     ``inner_index`` holds the non-zero panel block boundaries; they receive
     the same sentinel as column 0, severing the diagonal between targets.
-    Scalars stay plain Python ints: both NumPy and the device modules keep
-    the array's ``int32`` dtype when combining with weak Python scalars.
+    Scalars stay plain Python ints: NumPy keeps the array's ``int32`` dtype
+    when combining with weak Python scalars.
     """
     n_lanes, reference_length = rows_in.shape
     big = 2**29
     cap_bonus = bonus * cap
 
-    rows = xp.astype(rows_in, xp.int32)
-    runs = xp.astype(runs_in, xp.int32)
-    query = xp.astype(padded, xp.int32)
-    reference32 = xp.astype(reference_values, xp.int32)
-    if bool(xp.any(fresh)):
-        firsts = xp.astype(first_values, xp.int32)
-        rows[fresh] = xp.abs(firsts[fresh][:, None] - reference32[None, :])
+    rows = rows_in.astype(np.int32)
+    runs = runs_in.astype(np.int32)
+    query = padded.astype(np.int32)
+    reference32 = reference_values.astype(np.int32)
+    if bool(np.any(fresh)):
+        firsts = first_values.astype(np.int32)
+        rows[fresh] = np.abs(firsts[fresh][:, None] - reference32[None, :])
         runs[fresh] = 1
     bonus_of = None
     if bonus:
-        bonus_of = bonus * xp.minimum(runs, cap)
+        bonus_of = bonus * np.minimum(runs, cap)
 
-    local = xp.empty((n_lanes, reference_length), dtype=xp.int32)
-    diagonal = xp.empty((n_lanes, reference_length), dtype=xp.int32)
-    take = xp.empty((n_lanes, reference_length), dtype=xp.bool_)
+    local = np.empty((n_lanes, reference_length), dtype=np.int32)
+    diagonal = np.empty((n_lanes, reference_length), dtype=np.int32)
+    take = np.empty((n_lanes, reference_length), dtype=np.bool_)
     for step in range(max_steps):
         k = bisect_left(neg_sorted, -step)
         if k == 0:
@@ -1025,40 +926,32 @@ def _advance_batch_int32(
         local_view = local[:k]
         diagonal_view = diagonal[:k]
         take_view = take[:k]
-        xp.subtract(query[:k, step][:, None], reference32[None, :], out=local_view)
-        xp.abs(local_view, out=local_view)
+        np.subtract(query[:k, step][:, None], reference32[None, :], out=local_view)
+        np.abs(local_view, out=local_view)
         if bonus:
-            xp.subtract(row_view[:, :-1], bonus_of[:k, :-1], out=diagonal_view[:, 1:])
+            np.subtract(row_view[:, :-1], bonus_of[:k, :-1], out=diagonal_view[:, 1:])
         else:
             diagonal_view[:, 1:] = row_view[:, :-1]
         diagonal_view[:, 0] = big
         if inner_index is not None:
             diagonal_view[:, inner_index] = big
         if track_runs or bonus:
-            xp.less(diagonal_view, row_view, out=take_view)
-        xp.minimum(row_view, diagonal_view, out=row_view)
+            np.less(diagonal_view, row_view, out=take_view)
+        np.minimum(row_view, diagonal_view, out=row_view)
         row_view += local_view
         if track_runs:
             runs[:k] += 1
-            xp.copyto(runs[:k], 1, where=take_view)
+            np.copyto(runs[:k], 1, where=take_view)
         if bonus:
             bonus_view = bonus_of[:k]
             bonus_view += bonus
-            xp.minimum(bonus_view, cap_bonus, out=bonus_view)
-            xp.copyto(bonus_view, bonus, where=take_view)
+            np.minimum(bonus_view, cap_bonus, out=bonus_view)
+            np.copyto(bonus_view, bonus, where=take_view)
     if not track_runs and bonus:
         # Recover the capped counters the bonus table carries; resumption
         # only ever consumes min(run, cap), so this is lossless.
         runs = bonus_of // bonus
     return rows, runs
-
-
-def _local_distance_xp(value, reference, config: SDTWConfig, xp: ArrayModule):
-    """:func:`_local_distance` for the device-agnostic batched path."""
-    diff = value - reference
-    if config.distance == "squared":
-        return diff * diff
-    return xp.abs(diff)
 
 
 def _advance_batch_generic(
@@ -1072,7 +965,6 @@ def _advance_batch_generic(
     reference_values: np.ndarray,
     cfg: SDTWConfig,
     inner_index: Optional[np.ndarray],
-    xp: ArrayModule,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reference wavefront over lane-sorted state, any resumable config.
 
@@ -1085,33 +977,27 @@ def _advance_batch_generic(
     bonus = float(cfg.match_bonus)
     cap = cfg.match_bonus_cap
     integer_accumulator = cfg.quantize and not cfg.uses_bonus
-    accumulator = xp.int64 if integer_accumulator else xp.float64
-    big = 2**40 if integer_accumulator else xp.inf
+    accumulator = np.int64 if integer_accumulator else np.float64
+    big = 2**40 if integer_accumulator else np.inf
 
-    rows = xp.astype(rows_in, accumulator)
-    runs = xp.copy(runs_in)
-    if bool(xp.any(fresh)):
-        rows[fresh] = xp.astype(
-            _local_distance_xp(
-                first_values[fresh][:, None], reference_values[None, :], cfg, xp
-            ),
-            accumulator,
-        )
+    rows = rows_in.astype(accumulator)
+    runs = runs_in.copy()
+    if bool(np.any(fresh)):
+        rows[fresh] = _local_distance(
+            first_values[fresh][:, None], reference_values[None, :], cfg
+        ).astype(accumulator)
         runs[fresh] = 1
 
-    cost_shift = xp.empty((n_lanes, reference_length), dtype=accumulator)
-    run_shift = xp.empty((n_lanes, reference_length), dtype=xp.int64)
+    cost_shift = np.empty((n_lanes, reference_length), dtype=accumulator)
+    run_shift = np.empty((n_lanes, reference_length), dtype=np.int64)
     for step in range(max_steps):
         k = bisect_left(neg_sorted, -step)
         if k == 0:
             break
         previous = rows[:k]
-        local = xp.astype(
-            _local_distance_xp(
-                padded[:k, step][:, None], reference_values[None, :], cfg, xp
-            ),
-            accumulator,
-        )
+        local = _local_distance(
+            padded[:k, step][:, None], reference_values[None, :], cfg
+        ).astype(accumulator)
         cost_shift[:k, 0] = big
         cost_shift[:k, 1:] = previous[:, :-1]
         if inner_index is not None:
@@ -1121,12 +1007,12 @@ def _advance_batch_generic(
             run_shift[:k, 1:] = runs[:k, :-1]
             if inner_index is not None:
                 run_shift[:k, inner_index] = 0
-            diagonal = cost_shift[:k] - bonus * xp.minimum(run_shift[:k], cap)
+            diagonal = cost_shift[:k] - bonus * np.minimum(run_shift[:k], cap)
         else:
             diagonal = cost_shift[:k]
         take_diagonal = diagonal < previous
-        rows[:k] = local + xp.where(take_diagonal, diagonal, previous)
-        runs[:k] = xp.where(take_diagonal, 1, runs[:k] + 1)
+        rows[:k] = local + np.where(take_diagonal, diagonal, previous)
+        runs[:k] = np.where(take_diagonal, 1, runs[:k] + 1)
     return rows, runs
 
 

@@ -6,11 +6,8 @@ exposition format by :meth:`MetricsRegistry.render` (what serve's
 ``GET /metrics`` returns). Latency summaries keep a bounded reservoir of
 recent observations per label set and expose nearest-rank percentiles —
 enough for the per-round p50/p95/p99 the benchmarks and dashboards read,
-without pulling in a client library.
-
-Lived in ``repro.serve.metrics`` until the observability layer landed; it
-moved here so local sessions and benchmarks feed the same registry the
-server exposes (``repro.serve.metrics`` re-exports it unchanged).
+without pulling in a client library. Local sessions, benchmarks and the
+server all feed this one registry.
 
 Thread-safe: round submissions update counters from the backend pool's
 executor threads while the event loop renders ``/metrics``.

@@ -505,8 +505,6 @@ def build_batch_squigglefilter(
     normalization: Any = None,
     name: Optional[str] = None,
     decision_latency_s: Optional[float] = None,
-    backend: Any = None,
-    backend_options: Optional[Mapping[str, Any]] = None,
     run_config: Any = None,
 ) -> Any:
     """Single-stage sDTW filter on the batched wavefront engine: every
@@ -514,19 +512,10 @@ def build_batch_squigglefilter(
     ``reference``/``genome`` accept a multi-target panel, classified by
     per-target argmin in the same wavefront. ``run_config`` (a
     :class:`repro.runtime.RunConfig`) picks the execution backend the
-    engine advances lanes on (:func:`repro.batch.available_backends`); the
-    legacy ``backend``/``backend_options`` kwargs still work behind the
-    classifier's :class:`DeprecationWarning`."""
+    engine advances lanes on (:func:`repro.batch.available_backends`)."""
     # Deferred: repro.batch.classifier imports this module for Action/registry.
     from repro.batch.classifier import BatchSquiggleClassifier
 
-    extra: Dict[str, Any] = {}
-    if backend is not None:
-        extra["backend"] = backend
-    if backend_options is not None:
-        extra["backend_options"] = backend_options
-    if run_config is not None:
-        extra["run_config"] = run_config
     return BatchSquiggleClassifier(
         _resolve_reference(reference, genome, kmer_model, include_reverse_complement),
         config=config,
@@ -535,7 +524,7 @@ def build_batch_squigglefilter(
         prefix_samples=prefix_samples,
         name=name,
         decision_latency_s=decision_latency_s,
-        **extra,
+        run_config=run_config,
     )
 
 
@@ -585,8 +574,8 @@ def build_pipeline(spec: Any) -> "Any":
         Execution backend for a batch-capable classifier's engine (any name
         in :func:`repro.batch.available_backends`: ``"numpy"`` in-process,
         ``"sharded"`` lanes across a worker-process pool, ``"colsharded"``
-        reference columns across the pool, ``"gpu"`` on a device array
-        module; ``backend_options: {"workers": N}`` sizes the pools). These
+        reference columns across the pool; ``backend_options: {"workers":
+        N}`` sizes the pools). These
         keys are folded into a :class:`repro.runtime.RunConfig` handed to
         the classifier factory as ``run_config``, so the chosen classifier
         must accept it (``"batch_squigglefilter"`` does).
@@ -642,13 +631,11 @@ def build_pipeline(spec: Any) -> "Any":
     backend = config.pop("backend", None)
     backend_options = config.pop("backend_options", None)
     if (backend is not None or backend_options is not None) and "run_config" not in params:
-        # Fold the spec's execution keys into a RunConfig so the classifier
-        # takes the modern path (no deprecation shim for spec users).
+        # Fold the spec's execution keys into the RunConfig the classifier takes.
         options = dict(backend_options or {})
         params["run_config"] = RunConfig(
             backend=backend if backend is not None else "numpy",
             workers=options.pop("workers", None),
-            tile_columns=options.pop("tile_columns", None),
             backend_options=options,
         )
     classifier = create_classifier(name, **params)

@@ -4,7 +4,7 @@ One import gives the two objects every modern entry point is built on:
 
 * :class:`RunConfig` — the validated, serializable description of a
   classification run (reference/panel, kernel config, thresholds,
-  batch/backend/workers/tile_columns, channel count) with
+  batch/backend/workers, channel count) with
   ``from_dict``/``to_dict`` and JSON/YAML file loading;
 * :func:`open_session` / :class:`ReadUntilSession` — the lifecycle object
   that owns lazy backend creation, engine teardown (context manager,
@@ -20,9 +20,10 @@ Quickstart::
     with open_session(config) as session:
         result = session.run(reads)
 
-The pre-existing entry points (``build_pipeline`` specs,
-``BatchSquiggleClassifier(backend=...)``, ``classify_batch(backend=...)``)
-remain as thin shims over this layer and make bit-identical decisions.
+The lower-level entry points (``build_pipeline`` specs,
+``BatchSquiggleClassifier(run_config=...)``,
+``classify_batch(run_config=...)``) take the same config and make
+bit-identical decisions.
 """
 
 from repro.runtime.config import RunConfig, load_config_mapping

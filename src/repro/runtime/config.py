@@ -1,9 +1,8 @@
 """The declarative run configuration every entry point shares.
 
-Before this module existed the knobs of a classification run were scattered:
-``SquiggleFilter.classify_batch(backend=...)``,
-``BatchSquiggleClassifier(backend=, backend_options=)``, ``build_pipeline``
-spec keys and CLI flags all named the same things differently.
+Before this module existed the knobs of a classification run were scattered
+across method kwargs, ``build_pipeline`` spec keys and CLI flags that all
+named the same things differently.
 :class:`RunConfig` is the single declarative description — what to align
 against, which kernel configuration, which thresholds, which execution
 backend with how many workers, how many channels — that
@@ -32,10 +31,10 @@ from repro.core.config import SDTWConfig
 
 __all__ = ["RunConfig", "load_config_mapping"]
 
-# Which built-in execution backends consume which sizing option; options for
-# backends outside these sets (user-registered ones) pass through unchecked.
+# The built-in execution backends that take a worker count, and the
+# in-process ones that reject it; user-registered backends pass unchecked.
 _WORKER_BACKENDS = ("sharded", "colsharded")
-_TILED_BACKENDS = ("numpy", "gpu", "native")
+_IN_PROCESS_BACKENDS = ("numpy", "native")
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,15 @@ class RunConfig:
         in ``summary()``); ``trace_path`` additionally writes a Chrome
         trace-event / Perfetto JSON file when the session closes (and
         implies ``trace=True``). Tracing never changes decisions.
-    backend / workers / tile_columns / backend_options:
+    backend / workers / backend_options:
         Execution backend for the batched engine (any name in
         :func:`repro.batch.available_backends`, or ``"auto"`` to let the
         tuner pick). ``workers`` sizes the multi-process pools;
-        ``tile_columns`` bounds the column working set of the in-process
-        and device backends; ``backend_options`` passes anything else
-        straight to the backend factory. With ``backend="auto"`` the
-        backend/workers/tile_columns triple is resolved at session spawn by
-        :mod:`repro.tune` (calibration probes on first use, the persistent
-        tuning cache on repeat use) and the unresolved fields are treated
-        as unset.
+        ``backend_options`` passes anything else straight to the backend
+        factory. With ``backend="auto"`` the backend/workers pair is
+        resolved at session spawn by :mod:`repro.tune` (calibration probes
+        on first use, the persistent tuning cache on repeat use) and the
+        unresolved fields are treated as unset.
     tune / tune_budget_s:
         Tuner knobs, only consulted when ``backend="auto"``. ``tune`` is a
         free-form option mapping (``cache_path``, ``ignore_cache``,
@@ -129,7 +126,6 @@ class RunConfig:
     trace_path: Optional[str] = None
     backend: str = "numpy"
     workers: Optional[int] = None
-    tile_columns: Optional[int] = None
     backend_options: Mapping[str, Any] = field(default_factory=dict)
     prune: bool = False
     prune_margin: float = 0.0
@@ -172,24 +168,15 @@ class RunConfig:
         object.__setattr__(self, "backend", backend)
         if self.workers is not None and self.workers <= 0:
             raise ValueError(f"workers: must be positive, got {self.workers}")
-        if self.workers is not None and self.backend in _TILED_BACKENDS:
+        if self.workers is not None and self.backend in _IN_PROCESS_BACKENDS:
             raise ValueError(
                 f"workers: only the multi-process backends ({', '.join(_WORKER_BACKENDS)}) "
                 f"take a worker count, not {self.backend!r}"
             )
-        if self.tile_columns is not None and self.tile_columns <= 0:
-            raise ValueError(f"tile_columns: must be positive, got {self.tile_columns}")
-        if self.tile_columns is not None and self.backend in _WORKER_BACKENDS:
+        if self.backend == "auto" and self.workers is not None:
             raise ValueError(
-                f"tile_columns: only the in-process/device backends "
-                f"({', '.join(_TILED_BACKENDS)}) tile columns, not {self.backend!r}"
-            )
-        if self.backend == "auto" and (
-            self.workers is not None or self.tile_columns is not None
-        ):
-            raise ValueError(
-                "workers: backend='auto' resolves workers and tile_columns through "
-                "the tuner; pin the backend to set them by hand"
+                "workers: backend='auto' resolves workers through the tuner; "
+                "pin the backend to set them by hand"
             )
         if self.tune is not None:
             object.__setattr__(self, "tune", dict(self.tune))
@@ -242,14 +229,12 @@ class RunConfig:
     def resolved_backend_options(self) -> Dict[str, Any]:
         """The ``backend_options`` mapping the backend factory receives.
 
-        Folds the first-class sizing fields (``workers``, ``tile_columns``)
-        into the free-form options; explicit ``backend_options`` keys win.
+        Folds the first-class ``workers`` field into the free-form options;
+        an explicit ``backend_options`` key wins.
         """
         options = dict(self.backend_options)
         if self.workers is not None:
             options.setdefault("workers", self.workers)
-        if self.tile_columns is not None:
-            options.setdefault("tile_columns", self.tile_columns)
         return options
 
     def resolve_panel(self, kmer_model: Any = None) -> Any:

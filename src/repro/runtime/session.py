@@ -6,8 +6,8 @@ and the CLI drive. The session owns what used to be managed ad hoc at every
 call site:
 
 * **lazy backend creation** — nothing is spawned at ``open_session``; the
-  classifier, engine and execution backend (worker pools, shared memory,
-  device allocations) come up on the first chunk submitted;
+  classifier, engine and execution backend (worker pools, shared memory)
+  come up on the first chunk submitted;
 * **engine lifecycle** — the session is a context manager, ``close()`` is
   idempotent, a failure inside a round closes the session (no leaked worker
   pools when a run dies mid-stream), and any use after ``close()`` raises;
@@ -291,8 +291,18 @@ class ReadUntilSession:
         The direct-drive verb for benchmarks and custom loops: unseen read
         ids are begun automatically, then the whole round advances through
         one batched wavefront exactly as the pipeline's fast path would.
+
+        A chunk holding a NaN or infinite sample raises :class:`ValueError`
+        naming the read before anything runs: no read of the round is
+        begun, and the session stays open for the next (valid) round.
         """
         self._check_open()
+        for chunk in round_chunks:
+            if not np.isfinite(chunk.signal_pa).all():
+                raise ValueError(
+                    f"signal_pa: chunk of read {chunk.read_id!r} holds non-finite "
+                    "samples (NaN or infinity); raw pA samples must be finite"
+                )
         self._acquire_writer("submit")
         try:
             for chunk in round_chunks:
@@ -325,7 +335,7 @@ class ReadUntilSession:
             self._resolve_panel(),
             config=self.config.hardware,
             prefix_samples=self.config.prefix_samples,
-            run_config=self.config.with_(backend="numpy", workers=None, tile_columns=None, backend_options={}),
+            run_config=self.config.with_(backend="numpy", workers=None, backend_options={}),
         ) as helper:
             self._threshold = helper.calibrate(
                 target_signals,

@@ -42,7 +42,7 @@ from repro.serve.app import (
 )
 from repro.serve.client import AsyncServeClient, ServeClient, ServeClientError
 from repro.serve.manager import SessionManager, UnknownSessionError
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool, PoolClosedError, PoolSaturatedError
 
 __all__ = [

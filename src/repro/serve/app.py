@@ -27,7 +27,9 @@ Error mapping: config/chunk validation -> 400 (the ``RunConfig`` message,
 naming the offending field), unknown session -> 404, closed session or
 concurrent round -> 409, pool saturation -> 429 with a ``Retry-After``
 header (admission control, not failure — clients retry and no round is
-ever dropped), draining -> 503.
+ever dropped), draining -> 503. On the stdlib transport a malformed or
+negative ``Content-Length`` gets 400 and a body above :data:`MAX_BODY_BYTES`
+gets 413; both close the connection without reading the body.
 
 Graceful shutdown (:meth:`ServeServer.shutdown`) drains in order: stop
 admitting requests, let queued rounds finish, close every session (which
@@ -46,7 +48,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.runtime import SessionClosedError
 from repro.serve.manager import PoolSaturatedSessions, SessionManager, UnknownSessionError
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool, PoolClosedError, PoolSaturatedError
 
 __all__ = [
@@ -65,10 +67,25 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+# Largest request body the stdlib transport reads into memory. A round of 512
+# channels x 4,000 samples is about 20 MB of JSON, so 64 MiB is far above any
+# real round while still bounding what one request can make the server hold.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+class _FramingError(Exception):
+    """A request whose framing cannot be honoured; answered, then the
+    connection closes (the rest of the stream can no longer be parsed)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -262,7 +279,13 @@ class ServeServer:
             self._connections.add(task)
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _FramingError as error:
+                    response = Response(status=error.status, body={"error": str(error)})
+                    _write_response(writer, response, keep_alive=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -308,7 +331,19 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _FramingError(
+            400, f"Content-Length: expected a non-negative integer, got {raw_length!r}"
+        )
+    if length > MAX_BODY_BYTES:
+        raise _FramingError(
+            413, f"Content-Length: {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+        )
     body = await reader.readexactly(length) if length else b""
     path = target.split("?", 1)[0]
     return method, path, headers, body

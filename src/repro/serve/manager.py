@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.pipeline.api import Action
 from repro.runtime import ReadUntilSession, RunConfig, open_session
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool
 from repro.sequencer.read_until_api import SignalChunk
 

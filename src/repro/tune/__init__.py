@@ -1,13 +1,14 @@
 """repro.tune — the self-tuning runtime.
 
-Backend choice, worker counts, column tiling and the exactness-preserving
-prune/lower-bound layers all have workload- and host-dependent payoffs.
+Backend choice, worker counts and the exactness-preserving prune/lower-bound
+layers all have workload- and host-dependent payoffs.
 This package picks the operating point automatically, µ-cuDNN style:
 
 * :mod:`repro.tune.probe` — deterministic calibration probes that replay a
   synthetic workload of the session's shape through each candidate point;
 * :mod:`repro.tune.search` — the candidate generator (installed backends
-  only, hardware-seeded sizes) and the budgeted, early-stopping search;
+  only, core-count-seeded worker sizes) and the budgeted, early-stopping
+  search;
 * :mod:`repro.tune.cache` — the persistent JSON tuning cache
   (``~/.cache/repro/tune.json``) keyed by host fingerprint and workload
   shape, so repeat runs skip the probes entirely.
@@ -38,7 +39,6 @@ from repro.tune.probe import (
 )
 from repro.tune.search import (
     TuneOutcome,
-    detect_l2_bytes,
     generate_candidates,
     installed_backends,
     resolve_auto,
@@ -55,7 +55,6 @@ __all__ = [
     "WorkloadShape",
     "cache_key",
     "default_cache_path",
-    "detect_l2_bytes",
     "generate_candidates",
     "host_fingerprint",
     "installed_backends",

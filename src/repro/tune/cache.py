@@ -44,7 +44,7 @@ __all__ = [
 
 # Bump when the cached decision payload or key derivation changes shape;
 # entries from any other version load as empty (stale schemas never crash).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def default_cache_path() -> Path:
@@ -147,7 +147,6 @@ class TunedDecision:
 
     backend: str
     workers: Optional[int] = None
-    tile_columns: Optional[int] = None
     prune: bool = False
     lb_cascade: bool = False
     cell_rate: float = 0.0
@@ -177,7 +176,6 @@ class TunedDecision:
         return config.with_(
             backend=self.backend,
             workers=self.workers,
-            tile_columns=self.tile_columns,
             prune=bool(self.prune or config.prune),
             lb_cascade=bool(self.lb_cascade or config.lb_cascade),
         )

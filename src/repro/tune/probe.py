@@ -6,7 +6,7 @@ run (reference columns, panel blocks, channel count, chunk length, kernel
 data path) from the :class:`~repro.runtime.RunConfig`, synthesizes a small
 deterministic workload of that shape (capped so the whole probe sweep stays
 inside ``tune_budget_s``), and replays it through each candidate
-``(backend, workers, tile_columns, prune, lb_cascade)`` point via a
+``(backend, workers, prune, lb_cascade)`` point via a
 throwaway in-process :class:`~repro.batch.engine.BatchSDTWEngine` — the same
 "spend a bounded slice of compute up front to pick the operating point"
 idiom as :meth:`repro.runtime.ReadUntilSession.calibrate`.
@@ -275,7 +275,6 @@ class ProbeResult:
 
     backend: str
     workers: Optional[int] = None
-    tile_columns: Optional[int] = None
     prune: bool = False
     lb_cascade: bool = False
     seconds: float = 0.0
@@ -290,8 +289,6 @@ class ProbeResult:
         parts = [self.backend]
         if self.workers is not None:
             parts.append(f"workers={self.workers}")
-        if self.tile_columns is not None:
-            parts.append(f"tile={self.tile_columns}")
         if self.prune:
             parts.append("lb" if self.lb_cascade else "pruned")
         if len(parts) == 1:
@@ -313,7 +310,6 @@ def run_probe(
     workload: ProbeWorkload,
     backend: str,
     workers: Optional[int] = None,
-    tile_columns: Optional[int] = None,
     prune: bool = False,
     lb_cascade: bool = False,
 ) -> ProbeResult:
@@ -334,16 +330,8 @@ def run_probe(
     options: Dict[str, Any] = {}
     if workers is not None:
         options["workers"] = int(workers)
-    if tile_columns is not None:
-        options["tile_columns"] = int(tile_columns)
     tracer = Tracer(track="tune")
-    point = dict(
-        backend=backend,
-        workers=workers,
-        tile_columns=tile_columns,
-        prune=prune,
-        lb_cascade=lb_cascade,
-    )
+    point = dict(backend=backend, workers=workers, prune=prune, lb_cascade=lb_cascade)
     try:
         engine = BatchSDTWEngine(
             workload.panel,

@@ -3,16 +3,14 @@
 µ-cuDNN's optimizer enumerates only the convolution algorithms the library
 actually installed, benchmarks them on the real layer shape, and stops as
 soon as a winner is clear; this module is the same search for the sDTW
-runtime. Candidates are ``(backend, workers, tile_columns, prune,
-lb_cascade)`` points drawn from:
+runtime. Candidates are ``(backend, workers, prune, lb_cascade)`` points
+drawn from:
 
 * **installed backends only** — the registry
-  (:func:`repro.batch.available_backends`) filtered by the native and GPU
+  (:func:`repro.batch.available_backends`) filtered by the native kernel's
   import probes, so a candidate list never names an engine this host cannot
   construct;
-* **hardware seeds** — ``tile_columns`` candidates from the detected L2
-  size (the reason column tiling exists: keep the per-step column working
-  set cache-resident) and ``workers`` candidates from ``os.cpu_count()``
+* **core-count seeds** — ``workers`` candidates from ``os.cpu_count()``
   (multi-process backends are only candidates when there is more than one
   core to shard across);
 * **the exactness-preserving layers** — ``prune`` and ``prune+lb_cascade``
@@ -31,7 +29,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.tune.cache import TunedDecision, TuningCache, cache_key
@@ -46,7 +43,6 @@ from repro.tune.probe import (
 
 __all__ = [
     "TuneOutcome",
-    "detect_l2_bytes",
     "generate_candidates",
     "installed_backends",
     "resolve_auto",
@@ -56,74 +52,25 @@ __all__ = [
 # Search defaults; override per run via RunConfig.tune = {"margin": ..., ...}.
 DEFAULT_MARGIN = 1.25  # incumbent must lead runner-up by 25% to stop early
 DEFAULT_MIN_PROBES = 3
-_L2_FALLBACK_BYTES = 1 << 20  # sysfs unavailable (macOS, containers): assume 1 MiB
 
 
 def installed_backends() -> List[str]:
     """Registry backends this host can actually construct.
 
-    ``available_backends()`` lists every *registered* name; the native and
-    GPU entries additionally need an importable kernel (Numba or the AOT
-    Cython extension) or a device array module. Filtering here means a
-    candidate never fails for a reason the probe could have known up front.
+    ``available_backends()`` lists every *registered* name; the native
+    entry additionally needs an importable kernel (Numba or the AOT Cython
+    extension). Filtering here means a candidate never fails for a reason
+    the probe could have known up front.
     """
     from repro.batch.backends import available_backends
     from repro.batch.native import cython_kernel_available, numba_available
-    from repro.core.array_module import gpu_array_module
 
     names: List[str] = []
     for name in available_backends():
         if name == "native" and not (numba_available() or cython_kernel_available()):
             continue
-        if name == "gpu" and gpu_array_module() is None:
-            continue
         names.append(name)
     return names
-
-
-def detect_l2_bytes() -> Optional[int]:
-    """Per-core L2 size from sysfs; ``None`` where Linux sysfs is absent."""
-    base = Path("/sys/devices/system/cpu/cpu0/cache")
-    try:
-        indexes = sorted(base.glob("index*"))
-    except OSError:
-        return None
-    for index in indexes:
-        try:
-            if index.joinpath("level").read_text().strip() != "2":
-                continue
-            size = index.joinpath("size").read_text().strip().upper()
-        except OSError:
-            continue
-        try:
-            if size.endswith("K"):
-                return int(size[:-1]) * 1024
-            if size.endswith("M"):
-                return int(size[:-1]) * 1024 * 1024
-            return int(size)
-        except ValueError:
-            continue
-    return None
-
-
-def _tile_seed(shape: WorkloadShape) -> Optional[int]:
-    """An L2-resident ``tile_columns`` candidate, or ``None`` when tiling
-    cannot help (the whole working set already fits).
-
-    The per-column working set of one wavefront step is a handful of
-    row/run lanes per channel; sizing the tile so
-    ``channels * bytes_per_cell * tile`` stays inside L2 is the heuristic
-    the manual ``tile_columns`` guidance uses, here seeded automatically.
-    """
-    l2 = detect_l2_bytes() or _L2_FALLBACK_BYTES
-    bytes_per_cell = 4 if shape.dtype_path == "int32" else 8
-    # ~4 resident arrays touch each column per step (rows, runs, bounds, reference).
-    per_column = max(1, shape.n_channels) * bytes_per_cell * 4
-    tile = l2 // per_column
-    tile = max(1024, min(int(tile), int(shape.reference_columns)))
-    if tile >= shape.reference_columns:
-        return None
-    return tile
 
 
 def _worker_seeds() -> List[int]:
@@ -135,15 +82,15 @@ def _worker_seeds() -> List[int]:
     return sorted(count for count in seeds if 2 <= count <= cpu)
 
 
-def generate_candidates(shape: WorkloadShape) -> List[ProbeResult]:
-    """The ordered candidate list for ``shape`` (as unprobed result points).
+def generate_candidates() -> List[ProbeResult]:
+    """The ordered candidate list (as unprobed result points).
 
     Ordered so the strongest priors come first — the search early-stops and
     the budget truncates the tail, so a good incumbent must surface early:
     in-process brute force (the deployment default), its pruned and gated
     variants (big wins on mixed workloads, measured here on the mixed probe
-    workload), the native kernel when installed, then tiling and the
-    multi-process backends.
+    workload), the native kernel when installed, then the multi-process
+    backends.
     """
     installed = installed_backends()
     candidates: List[ProbeResult] = []
@@ -157,11 +104,6 @@ def generate_candidates(shape: WorkloadShape) -> List[ProbeResult]:
     add("numpy", prune=True, lb_cascade=True)
     add("native")
     add("native", prune=True, lb_cascade=True)
-    add("gpu")
-    tile = _tile_seed(shape)
-    if tile is not None:
-        add("numpy", tile_columns=tile)
-        add("native", tile_columns=tile)
     for workers in _worker_seeds():
         add("sharded", workers=workers)
         add("colsharded", workers=workers)
@@ -240,7 +182,7 @@ def tune_config(
             seed=int(options.get("seed", PROBE_SEED)),
         )
 
-    candidates = generate_candidates(shape)
+    candidates = generate_candidates()
     results: List[ProbeResult] = []
     for candidate in candidates:
         elapsed = time.perf_counter() - start
@@ -255,7 +197,6 @@ def tune_config(
                 workload,
                 backend=candidate.backend,
                 workers=candidate.workers,
-                tile_columns=candidate.tile_columns,
                 prune=candidate.prune,
                 lb_cascade=candidate.lb_cascade,
             )
@@ -280,7 +221,6 @@ def tune_config(
     decision = TunedDecision(
         backend=best.backend,
         workers=best.workers,
-        tile_columns=best.tile_columns,
         prune=best.prune,
         lb_cascade=best.lb_cascade,
         cell_rate=best.cell_rate,
@@ -316,7 +256,6 @@ def resolve_auto(
         decision = TunedDecision(
             backend=config.backend,
             workers=config.workers,
-            tile_columns=config.tile_columns,
             prune=config.prune,
             lb_cascade=config.lb_cascade,
             cache_hit=True,

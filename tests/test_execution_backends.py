@@ -28,6 +28,7 @@ from repro.core.sdtw import sdtw_resume
 from repro.hardware.scheduler import TileScheduler
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
+from repro.runtime import RunConfig
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
 # (backend name, factory options) pairs every backend-agnostic test runs over.
@@ -69,23 +70,6 @@ class TestBackendRegistry:
                 create_backend("tpu", rng.integers(-127, 128, 30), SDTWConfig.hardware(), 4)
         with pytest.raises(ValueError, match="unknown execution backend"):
             make_engine(rng.integers(-127, 128, 30), backend="tpu")
-
-    def test_gpu_backend_registered_even_without_gpu_stack(self, rng):
-        """The 'gpu' name always validates; without CuPy/Torch construction
-        raises a RuntimeError carrying an install hint, not a KeyError."""
-        assert "gpu" in available_backends()
-        try:
-            import cupy  # noqa: F401
-            pytest.skip("CuPy installed; the unavailable-library path cannot fire")
-        except ImportError:
-            pass
-        try:
-            import torch  # noqa: F401
-            pytest.skip("Torch installed; the unavailable-library path cannot fire")
-        except ImportError:
-            pass
-        with pytest.raises(RuntimeError, match="CuPy"):
-            create_backend("gpu", rng.integers(-127, 128, 30), SDTWConfig.hardware(), 4)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -205,16 +189,17 @@ class TestBackendBitIdentity:
     def test_filter_classify_batch_backend_parameter(
         self, reference_squiggle, target_signals, nontarget_signals
     ):
-        """SquiggleFilter.classify_batch(backend=...) changes execution only."""
+        """SquiggleFilter.classify_batch(run_config=...) changes execution only."""
         squiggle_filter = SquiggleFilter(reference_squiggle, prefix_samples=500)
         signals = list(target_signals) + list(nontarget_signals)
+        sharded = RunConfig(backend="sharded", workers=2)
         numpy_decisions = squiggle_filter.classify_batch(signals, threshold=1e12)
         sharded_decisions = squiggle_filter.classify_batch(
-            signals, threshold=1e12, backend="sharded", backend_options={"workers": 2}
+            signals, threshold=1e12, run_config=sharded
         )
         assert sharded_decisions == numpy_decisions
         assert squiggle_filter.cost_batch(
-            signals, backend="sharded", backend_options={"workers": 2}
+            signals, run_config=sharded
         ) == squiggle_filter.cost_batch(signals)
 
     def test_multistage_classify_batch_backend_parameter(
@@ -225,7 +210,7 @@ class TestBackendBitIdentity:
         )
         signals = list(target_signals) + list(nontarget_signals)
         assert multistage.classify_batch(
-            signals, backend="sharded", backend_options={"workers": 2}
+            signals, run_config=RunConfig(backend="sharded", workers=2)
         ) == multistage.classify_batch(signals)
 
 
@@ -373,8 +358,7 @@ class TestBackendLifecycle:
             reference_squiggle,
             threshold=1e9,
             prefix_samples=400,
-            backend="sharded",
-            backend_options={"workers": 2},
+            run_config=RunConfig(backend="sharded", workers=2),
         )
         assert classifier.backend_name == "sharded"
         classifier.close()
@@ -490,8 +474,7 @@ class TestShardedPipeline:
                 reference_squiggle,
                 threshold=backend_threshold,
                 prefix_samples=800,
-                backend=backend,
-                backend_options=options,
+                run_config=RunConfig(backend=backend, backend_options=options or {}),
             ) as classifier:
                 result = ReadUntilPipeline(
                     classifier,
@@ -522,7 +505,6 @@ class TestShardedPipeline:
         reads may report a stale above-threshold cost, so only the decision
         and sample count are compared there)."""
         from repro.batch.native import numba_available
-        from repro.runtime import RunConfig
 
         def run_flowcell(classifier):
             result = ReadUntilPipeline(
@@ -553,7 +535,6 @@ class TestShardedPipeline:
             ("numpy", {}),
             ("sharded", {"workers": 2}),
             ("colsharded", {"workers": 2}),
-            ("gpu", {"backend_options": {"array_module": "numpy"}}),
         ]
         if numba_available():
             # The compiled scalar kernel is CI-only; without Numba the

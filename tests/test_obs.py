@@ -12,7 +12,7 @@ Four layers, mirroring the subsystem:
   both accepted file forms, and the per-phase table the ``repro trace``
   subcommand prints.
 * **Metrics** — the Prometheus escaping fix (backslash/quote/newline in
-  label values) and the ``repro.serve.metrics`` compatibility shim.
+  label values).
 * **Sessions** — the acceptance property: on every registered execution
   backend, a traced seeded flowcell decides bit-identically to an
   untraced one; traced runs surface ``session.trace()``, per-phase
@@ -40,13 +40,11 @@ from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# Same matrix as tests/test_runtime_session.py: "gpu" runs the device code
-# path on the host array module, so it is covered without a GPU stack.
+# Same matrix as tests/test_runtime_session.py.
 OBS_BACKENDS = [
     ("numpy", {}),
     ("sharded", {"workers": 2}),
     ("colsharded", {"workers": 2}),
-    ("gpu", {"backend_options": {"array_module": "numpy"}}),
 ]
 
 WORKER_BACKENDS = {"sharded", "colsharded"}
@@ -256,11 +254,6 @@ class TestMetricsEscaping:
             if line.startswith("obs_label_total{")
         ]
         assert line == 'obs_label_total{label="flow\\"cell\\\\A"} 1'
-
-    def test_serve_metrics_shim_reexports_the_same_class(self):
-        from repro.serve.metrics import MetricsRegistry as ShimRegistry
-
-        assert ShimRegistry is MetricsRegistry
 
 
 # -------------------------------------------------------------- sessions

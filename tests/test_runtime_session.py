@@ -4,8 +4,7 @@ The contract under test: one declarative, serializable :class:`RunConfig`
 describes a run; :func:`open_session` owns lazy backend creation and engine
 lifecycle; and driving a seeded flowcell through the session produces
 decisions bit-identical to the pre-existing classifier/pipeline entry points
-on every registered execution backend — which also makes the deprecation
-shims safe.
+on every registered execution backend.
 """
 
 import json
@@ -17,7 +16,6 @@ import pytest
 
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.core.config import SDTWConfig
-from repro.core.sdtw import sdtw_resume
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import (
@@ -29,14 +27,11 @@ from repro.runtime import (
 from repro.sequencer.read_until_api import SignalChunk
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# Execution backends the acceptance property runs over. "gpu" executes the
-# device code path on the host array module, so the backend is covered
-# bit-for-bit on machines without a GPU stack.
+# Execution backends the acceptance property runs over.
 SESSION_BACKENDS = [
     ("numpy", {}),
     ("sharded", {"workers": 2}),
     ("colsharded", {"workers": 2}),
-    ("gpu", {"backend_options": {"array_module": "numpy"}}),
 ]
 
 
@@ -61,9 +56,9 @@ class TestRunConfigValidation:
             (dict(backend="sharded", workers=0), "workers"),
             (dict(backend="sharded", workers=-3), "workers"),
             (dict(backend="numpy", workers=2), "workers"),
-            (dict(tile_columns=0), "tile_columns"),
-            (dict(tile_columns=-16), "tile_columns"),
-            (dict(backend="colsharded", tile_columns=64), "tile_columns"),
+            (dict(backend="gpu"), "backend"),
+            (dict(backend="native", workers=2), "workers"),
+            (dict(backend="auto", workers=2), "workers"),
             (dict(prefix_samples=0), "prefix_samples"),
             (dict(chunk_samples=-1), "chunk_samples"),
             (dict(n_channels=0), "n_channels"),
@@ -92,15 +87,9 @@ class TestRunConfigValidation:
     def test_backend_name_normalized(self):
         assert RunConfig(backend="NumPy").backend == "numpy"
 
-    def test_gpu_backend_name_validates_without_gpu_stack(self):
-        # The registry entry always exists; only *instantiation* needs CuPy/Torch.
-        assert RunConfig(backend="gpu", tile_columns=128).backend == "gpu"
-
     def test_resolved_backend_options_fold_sizing_fields(self):
         config = RunConfig(backend="sharded", workers=3, backend_options={"extra": 1})
         assert config.resolved_backend_options() == {"workers": 3, "extra": 1}
-        tiled = RunConfig(backend="numpy", tile_columns=64)
-        assert tiled.resolved_backend_options() == {"tile_columns": 64}
 
 
 # ------------------------------------------------------------ serialization
@@ -128,6 +117,8 @@ class TestRunConfigSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="n_channel"):
             RunConfig.from_dict({"n_channel": 4})
+        with pytest.raises(ValueError, match="^tile_columns"):
+            RunConfig.from_dict({"tile_columns": 64})
 
     def test_prebuilt_reference_not_serializable(self, reference_squiggle):
         config = RunConfig(reference=reference_squiggle)
@@ -276,6 +267,29 @@ class TestSessionLifecycle:
         with pytest.raises(SessionClosedError, match="closed"):
             session.summary()
         assert issubclass(SessionClosedError, RuntimeError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chunk_rejected_before_any_read_begins(
+        self, reference_squiggle, target_signals, bad
+    ):
+        """A NaN/±inf sample fails the round with a field-named ValueError
+        naming the read — before any read of the round begins — and the
+        session stays open to decide the next valid round."""
+        poisoned = np.asarray(target_signals[0][:400], dtype=np.float64).copy()
+        poisoned[17] = bad
+        with open_session(self._config(reference_squiggle)) as session:
+            with pytest.raises(ValueError, match="^signal_pa: .*'r-bad'"):
+                session.submit(
+                    [
+                        _chunk("r-good", target_signals[1][:400], channel=1, last=True),
+                        _chunk("r-bad", poisoned, last=True),
+                    ]
+                )
+            assert not session.closed
+            assert not session.started  # no read of the bad round was begun
+            actions = session.submit([_chunk("r0", target_signals[0][:400], last=True)])
+            assert len(actions) == 1 and actions[0].is_terminal
+            assert session.summary()["rounds"] == 1
 
     def test_concurrent_submit_from_second_thread_raises(
         self, reference_squiggle, target_signals
@@ -426,43 +440,8 @@ class TestSessionBitIdentity:
         assert _decision_fields(result) == baseline
 
 
-# ------------------------------------------------------------------- shims
+# ----------------------------------------------------- classifier run_config
 class TestDeprecationShims:
-    def test_classifier_backend_kwargs_warn_but_decide_identically(
-        self,
-        reference_squiggle,
-        target_genome,
-        runtime_threshold,
-        runtime_flowcell_reads,
-    ):
-        config = session_config(
-            reference_squiggle, runtime_threshold, backend="sharded", workers=2
-        )
-        with open_session(config) as session:
-            session_decisions = _decision_fields(
-                session.run(runtime_flowcell_reads, target_genome=target_genome)
-            )
-        with pytest.deprecated_call():
-            legacy = BatchSquiggleClassifier(
-                reference_squiggle,
-                threshold=runtime_threshold,
-                prefix_samples=800,
-                backend="sharded",
-                backend_options={"workers": 2},
-            )
-        with legacy:
-            legacy_decisions = _decision_fields(
-                ReadUntilPipeline(
-                    legacy,
-                    target_genome,
-                    assemble=False,
-                    chunk_samples=400,
-                    n_channels=8,
-                    batch=True,
-                ).run(runtime_flowcell_reads)
-            )
-        assert legacy_decisions == session_decisions
-
     def test_classifier_default_construction_does_not_warn(self, reference_squiggle):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -486,83 +465,6 @@ class TestDeprecationShims:
             reference_squiggle, run_config=config, prefix_samples=320
         ) as classifier:
             assert classifier.prefix_samples == 320
-
-    def test_classifier_rejects_run_config_plus_legacy_kwargs(
-        self, reference_squiggle
-    ):
-        with pytest.raises(ValueError, match="not both"):
-            BatchSquiggleClassifier(
-                reference_squiggle,
-                threshold=1e9,
-                backend="numpy",
-                run_config=RunConfig(),
-            )
-
-    def test_filter_classify_batch_backend_kwarg_warns(
-        self, calibrated_filter, target_signals
-    ):
-        with pytest.deprecated_call():
-            legacy = calibrated_filter.classify_batch(
-                target_signals, backend="sharded", backend_options={"workers": 2}
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            modern = calibrated_filter.classify_batch(
-                target_signals,
-                run_config=RunConfig(backend="sharded", workers=2),
-            )
-            plain = calibrated_filter.classify_batch(target_signals)
-        assert legacy == modern == plain
-
-    def test_filter_cost_batch_backend_kwarg_warns(
-        self, calibrated_filter, target_signals
-    ):
-        with pytest.deprecated_call():
-            legacy = calibrated_filter.cost_batch(target_signals, backend="numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            modern = calibrated_filter.cost_batch(
-                target_signals, run_config=RunConfig()
-            )
-        assert legacy == modern
-
-
-# ------------------------------------------------------- gpu-on-host kernel
-class TestGpuBackendOnHost:
-    def test_gpu_backend_matches_scalar_rows(self, rng):
-        from repro.batch.engine import BatchSDTWEngine
-
-        reference = rng.integers(-127, 128, 60)
-        config = SDTWConfig.hardware()
-        for options in (
-            {"array_module": "numpy"},
-            {"array_module": "numpy", "tile_columns": 17},
-        ):
-            with BatchSDTWEngine(
-                reference, config, backend="gpu", backend_options=options
-            ) as engine:
-                states = {}
-                for _ in range(3):
-                    items = [
-                        (lane, rng.integers(-127, 128, int(rng.integers(1, 20))))
-                        for lane in range(4)
-                    ]
-                    snaps = engine.step(items)
-                    for lane, query in items:
-                        states[lane] = sdtw_resume(
-                            query, reference, config, state=states.get(lane)
-                        )
-                        assert snaps[lane].cost == states[lane].cost
-                for lane in range(4):
-                    assert np.array_equal(
-                        engine.state_of(lane).row, states[lane].row
-                    )
-
-    def test_cupy_module_skips_cleanly_when_absent(self):
-        from repro.core.array_module import get_array_module
-
-        cupy = pytest.importorskip("cupy")  # noqa: F841 - skip without CuPy
-        assert get_array_module("cupy").name == "cupy"
 
 
 # ---------------------------------------------------------------------- CLI

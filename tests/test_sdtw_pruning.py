@@ -31,14 +31,12 @@ from repro.obs.trace import Tracer
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.read_until_api import SignalChunk
 
-# Every registered backend, in host-executable form: "gpu" runs the device
-# code path on the numpy array module, "native" runs its scalar kernel as
-# pure Python when Numba is absent.
+# Every registered backend, in host-executable form: "native" runs its
+# scalar kernel as pure Python when Numba is absent.
 PRUNE_BACKENDS = [
     ("numpy", None),
     ("sharded", {"workers": 2}),
     ("colsharded", {"workers": 2}),
-    ("gpu", {"array_module": "numpy"}),
     ("native", {"jit": False}),
 ]
 
@@ -455,7 +453,7 @@ class TestNativeBackend:
         assert snap.end_position == expected.end_position
 
     def test_run_config_accepts_native_backend(self):
-        config = RunConfig(genome="ACGT" * 30, backend="native", tile_columns=32)
+        config = RunConfig(genome="ACGT" * 30, backend="native")
         assert config.backend == "native"
         with pytest.raises(ValueError, match="workers"):
             RunConfig(genome="ACGT" * 30, backend="native", workers=2)

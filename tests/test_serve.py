@@ -13,6 +13,7 @@ after release, no round ever dropped).
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.serve import (
     ServeClientError,
     ServeServer,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.client import AsyncServeClient
 from repro.serve.manager import SessionManager, chunk_from_payload
 from repro.serve.workload import build_tenant_workloads, replay_flowcell
@@ -356,6 +358,23 @@ class TestHttpEndToEnd:
         assert "read_id" in excinfo.value.message
         serve_client.close_session(session_id)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_samples_get_400_and_the_session_keeps_deciding(
+        self, serve_client, bad
+    ):
+        session_id = serve_client.create_session(service_config(label="finite"))
+        poisoned = wire_chunk("r-bad")
+        poisoned["signal"][5] = bad
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.submit_round(session_id, [poisoned])
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("signal_pa")
+        assert "r-bad" in excinfo.value.message
+        actions, meta = serve_client.submit_round(session_id, [wire_chunk("r0")])
+        assert len(actions) == 1 and actions[0].is_terminal
+        assert meta["round"] == 1
+        serve_client.close_session(session_id)
+
     def test_closed_underlying_session_maps_to_conflict(
         self, serve_server, serve_client
     ):
@@ -386,6 +405,37 @@ class TestHttpEndToEnd:
                 await client.close()
 
         run(scenario())
+
+
+class TestRequestFraming:
+    """The stdlib transport answers a request it cannot frame, then closes."""
+
+    @pytest.mark.parametrize(
+        "length,status",
+        [("twelve", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length_is_answered_then_closed(
+        self, serve_server, serve_client, length, status
+    ):
+        request = (
+            "POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(
+            (serve_server.host, serve_server.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            reply = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:  # the server closed the connection after answering
+                    break
+                reply += data
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"].startswith("Content-Length")
+        assert serve_client.health()["status"] == "ok"
 
 
 class TestBackpressure:

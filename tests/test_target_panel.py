@@ -4,8 +4,8 @@ The contract under test (PR 4's acceptance invariant): a panel of N targets
 advanced through the concatenated column space produces per-target costs,
 end positions and rows **bit-identical** to N independent single-reference
 ``sdtw_resume`` runs — on every execution backend (``numpy``, ``sharded``,
-``colsharded``), with in-process column tiling, across ragged chunk
-schedules, ragged target lengths, and lane recycling.
+``colsharded``), across ragged chunk schedules, ragged target lengths, and
+lane recycling; halo-extended column tiles stitch back to the untiled rows.
 """
 
 import numpy as np
@@ -21,21 +21,23 @@ from repro.core.filter import SquiggleFilter, build_default_filter
 from repro.core.panel import TargetPanel
 from repro.core.reference import ReferenceSquiggle
 from repro.core.sdtw import (
+    BatchSDTWState,
     normalize_block_starts,
     reduce_block_minima,
     sdtw_resume,
     sdtw_resume_batch,
+    tile_block_starts,
+    tile_halo_start,
 )
 from repro.genomes.sequences import random_genome
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
+from repro.runtime import RunConfig
 
 # Every execution shape a panel can advance on: the in-process wavefront,
-# the same wavefront in cache-sized column tiles, lanes across workers, and
-# reference columns across workers.
+# lanes across workers, and reference columns across workers.
 PANEL_BACKENDS = [
     ("numpy", None),
-    ("numpy", {"tile_columns": 17}),
     ("sharded", {"workers": 2}),
     ("colsharded", {"workers": 2}),
 ]
@@ -200,25 +202,64 @@ class TestPanelBitIdentity:
             for backend in backends:
                 backend.close()
 
-    @pytest.mark.parametrize("tile_columns", [1, 5, 11, 53, 64, 97, 98])
-    def test_tiled_advance_identical_to_untiled(self, tile_columns, rng):
-        """Tile widths from degenerate (1 column) through 'narrower than the
-        last block' to wider-than-reference all reproduce the untiled rows."""
+    @pytest.mark.parametrize("tile_width", [1, 5, 11, 53, 64, 97, 98])
+    def test_tiled_advance_identical_to_untiled(self, tile_width, rng):
+        """The halo rule ColumnShardedBackend relies on: each column tile
+        advanced on its own, extended left to ``tile_halo_start`` with
+        ``tile_block_starts`` blocks, keeps exactly the untiled rows for its
+        columns — from a fresh state and resumed, for tile widths from one
+        column through 'narrower than the last block' to wider than the
+        reference."""
         config = SDTWConfig.hardware()
-        queries = [rng.integers(-127, 128, n) for n in (21, 7)]
-        untiled = sdtw_resume_batch(
-            queries, PANEL_CONCAT, config, block_starts=PANEL_STARTS
+        n_columns = PANEL_CONCAT.size
+        chunk = 9
+        # One lane streams an exact copy of the reference columns ending at
+        # the first mid-block tile start it fits before: its best path there
+        # is the pure diagonal, which a halo one column short would cut.
+        diagonal_end = next(
+            (
+                start
+                for start in range(tile_width, n_columns, tile_width)
+                if start - 2 * chunk + 1
+                >= PANEL_STARTS[np.searchsorted(PANEL_STARTS, start, side="right") - 1]
+            ),
+            None,
         )
-        tiled = sdtw_resume_batch(
-            queries,
-            PANEL_CONCAT,
-            config,
-            block_starts=PANEL_STARTS,
-            tile_columns=tile_columns,
-        )
-        assert np.array_equal(tiled.rows, untiled.rows)
-        assert np.array_equal(tiled.runs, untiled.runs)
-        assert np.array_equal(tiled.samples_processed, untiled.samples_processed)
+        state = None
+        for round_index in range(2):
+            queries = [rng.integers(-127, 128, n) for n in (chunk, 4)]
+            if diagonal_end is not None:
+                first = diagonal_end - 2 * chunk + 1 + round_index * chunk
+                queries.append(PANEL_CONCAT[first : first + chunk])
+            untiled = sdtw_resume_batch(
+                queries, PANEL_CONCAT, config, state=state, block_starts=PANEL_STARTS
+            )
+            rows = np.empty_like(untiled.rows)
+            runs = np.empty_like(untiled.runs)
+            for tile_start in range(0, n_columns, tile_width):
+                tile_end = min(tile_start + tile_width, n_columns)
+                halo_start = tile_halo_start(PANEL_STARTS, tile_start, chunk)
+                tile_state = None
+                if state is not None:
+                    tile_state = BatchSDTWState(
+                        rows=state.rows[:, halo_start:tile_end],
+                        runs=state.runs[:, halo_start:tile_end],
+                        samples_processed=state.samples_processed,
+                    )
+                tile = sdtw_resume_batch(
+                    queries,
+                    PANEL_CONCAT[halo_start:tile_end],
+                    config,
+                    state=tile_state,
+                    block_starts=tile_block_starts(PANEL_STARTS, halo_start, tile_end),
+                )
+                keep = tile_start - halo_start
+                rows[:, tile_start:tile_end] = tile.rows[:, keep:]
+                runs[:, tile_start:tile_end] = tile.runs[:, keep:]
+                assert np.array_equal(tile.samples_processed, untiled.samples_processed)
+            assert np.array_equal(rows, untiled.rows)
+            assert np.array_equal(runs, untiled.runs)
+            state = untiled
 
     def test_colsharded_tile_narrower_than_last_block(self, rng):
         """7 workers over 98 columns leave tiles narrower than gamma's block,
@@ -327,7 +368,9 @@ class TestPanelFilter:
         )
         for backend, options in PANEL_BACKENDS:
             batch = squiggle_filter.classify_batch(
-                [signal], threshold=1e12, backend=backend, backend_options=options
+                [signal],
+                threshold=1e12,
+                run_config=RunConfig(backend=backend, backend_options=options or {}),
             )
             assert batch == [decision], backend
 
@@ -472,8 +515,7 @@ class TestPanelPipeline:
                 panel,
                 threshold=threshold,
                 prefix_samples=500,
-                backend=backend,
-                backend_options=options,
+                run_config=RunConfig(backend=backend, backend_options=options or {}),
             ) as classifier:
                 result = ReadUntilPipeline(
                     classifier,

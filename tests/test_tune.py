@@ -23,7 +23,7 @@ from repro.core.config import SDTWConfig
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 from repro.serve.manager import SessionManager
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool
 from repro.tune import (
     SCHEMA_VERSION,
@@ -194,8 +194,6 @@ class TestRunConfigTuneFields:
     def test_auto_rejects_manual_sizing(self):
         with pytest.raises(ValueError, match="workers"):
             RunConfig(backend="auto", workers=2)
-        with pytest.raises(ValueError, match="workers"):
-            RunConfig(backend="auto", tile_columns=64)
 
     def test_tune_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="tune_budget_s"):
@@ -244,8 +242,7 @@ class TestWorkloadShape:
     def test_candidates_only_name_installed_backends(self):
         installed = set(installed_backends())
         assert "numpy" in installed
-        shape = WorkloadShape(reference_columns=4790, n_channels=8, chunk_samples=400)
-        candidates = generate_candidates(shape)
+        candidates = generate_candidates()
         assert candidates, "candidate list must never be empty"
         assert candidates[0].backend == "numpy"
         assert {c.backend for c in candidates} <= installed
@@ -388,7 +385,6 @@ class TestSessionAutoBackend:
             tune_threshold,
             backend=tuned.backend,
             workers=tuned.workers,
-            tile_columns=tuned.tile_columns,
             prune=tuned.prune,
             lb_cascade=tuned.lb_cascade,
         )
