@@ -97,8 +97,19 @@ __all__ = [
     "ShardedProcessBackend",
     "available_backends",
     "create_backend",
+    "default_workers",
     "register_backend",
 ]
+
+
+def default_workers() -> int:
+    """Worker processes a multi-process backend starts when none are given.
+
+    One per core this process may run on (its CPU affinity, not the
+    machine's core count), capped at 8. No core is reserved for the parent:
+    it only waits on the pool while the workers compute.
+    """
+    return min(8, len(os.sched_getaffinity(0)))
 
 
 class ExecutionBackend(Protocol):
@@ -691,7 +702,7 @@ class ShardedProcessBackend(_WorkerPoolBackend):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if workers is None:
-            workers = max(1, min(8, (os.cpu_count() or 2) - 1))
+            workers = default_workers()
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.n_workers = int(workers)
@@ -1051,7 +1062,7 @@ class ColumnShardedBackend(_WorkerPoolBackend):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if workers is None:
-            workers = max(1, min(8, (os.cpu_count() or 2) - 1))
+            workers = default_workers()
         if workers <= 0:
             raise ValueError("workers must be positive")
         # A tile must hold at least one column.

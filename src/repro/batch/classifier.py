@@ -29,7 +29,7 @@ from repro.core.reference import ReferenceSquiggle
 from repro.core.thresholds import choose_threshold
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pipeline.api import ACCEPT, DEFAULT_HARDWARE_LATENCY_S, EJECT, Action
-from repro.sequencer.read_until_api import SignalChunk
+from repro.sequencer.read_until_api import SignalChunk, check_finite_chunks
 
 if TYPE_CHECKING:  # duck-typed at runtime; avoids a hard runtime dependency
     from repro.runtime.config import RunConfig
@@ -158,11 +158,16 @@ class BatchSquiggleClassifier:
         return self.on_chunk_batch([chunk])[0]
 
     def on_chunk_batch(self, chunks: Sequence[SignalChunk]) -> List[Action]:
-        """Classify one polling round: a single wavefront across all chunks."""
+        """Classify one polling round: a single wavefront across all chunks.
+
+        A chunk holding a NaN or infinite sample raises :class:`ValueError`
+        naming its read before any lane of the round is admitted.
+        """
         if self.threshold is None:
             raise ValueError(
                 "no threshold configured; call calibrate() or pass threshold explicitly"
             )
+        check_finite_chunks(chunks)
         # The eject threshold is the decision bound the pruning layer
         # protects; stamped every round because calibrate() may run after
         # construction (the engine's kill-bound envelope keeps per-lane

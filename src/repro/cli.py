@@ -1,6 +1,6 @@
 """Command-line interface for the SquiggleFilter reproduction.
 
-Six subcommands cover the library's main workflows without writing Python:
+Eight subcommands cover the library's main workflows without writing Python:
 
 * ``simulate-specimen`` — synthesize a target + background specimen and save
   the genomes (FASTA) and raw reads (FAST5-like ``.npz``).
@@ -29,13 +29,10 @@ Six subcommands cover the library's main workflows without writing Python:
   benchmarks use.
 * ``config-dump``       — print the fully resolved :class:`RunConfig`
   (file + flag overlay) as JSON, the reproducibility record of a run.
-  ``--resolve`` additionally runs the tuner when the config says
-  ``backend: "auto"``, so the printed JSON pins the tuned backend — ready
-  to commit as a reproducible run config.
-* ``tune``              — run the :mod:`repro.tune` calibration probes for
-  a workload shape (config file and/or flags), print the probe table and
-  the chosen point, and warm the persistent tuning cache so later
-  ``backend="auto"`` runs resolve instantly.
+  ``--resolve`` additionally applies the fixed ``backend: "auto"`` rule
+  (:func:`repro.runtime.resolve_auto`), so the printed JSON pins the
+  backend, workers and pruning layers this host would run — ready to
+  commit as a reproducible run config.
 * ``serve``             — run the multi-tenant classification service
   (:mod:`repro.serve`): tenants create sessions over HTTP (each a named
   ``RunConfig``, optionally overlaid on ``--config`` as the server's
@@ -72,7 +69,7 @@ from repro.batch import available_backends
 from repro.pipeline.api import available_classifiers, build_pipeline, create_classifier
 from repro.pipeline.runtime_model import ReadUntilModelConfig, sequencing_runtime_s
 from repro.pore_model.kmer_model import KmerModel
-from repro.runtime import RunConfig, load_config_mapping, open_session
+from repro.runtime import RunConfig, load_config_mapping, open_session, resolve_auto
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel, SpecimenMixture
 
 
@@ -118,10 +115,10 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("auto", *available_backends()),
         default=None,
         help="execution backend for the batched wavefront engine (choices "
-        "come straight from the backend registry, plus 'auto' to let the "
-        "repro.tune probes pick the backend/workers point for this "
-        "host and workload shape): 'numpy' advances all "
-        "lanes in-process, 'sharded' stripes lanes across a worker-process "
+        "come straight from the backend registry, plus 'auto', which picks "
+        "one from the usable core and channel counts and turns pruning and "
+        "the lane gate on; `config-dump --resolve` prints the pick): "
+        "'numpy' advances all lanes in-process, 'sharded' stripes lanes across a worker-process "
         "pool, 'colsharded' stripes reference columns across the pool for "
         "genome-scale references (implies the batch classifier; decisions "
         "are identical whichever backend runs)",
@@ -131,7 +128,7 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker processes for the multi-process backends (requires "
-        "--backend sharded or colsharded; default: one per spare core, "
+        "--backend sharded or colsharded; default: one per usable core, "
         "capped at 8)",
     )
     parser.add_argument(
@@ -297,45 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     config_dump.add_argument(
         "--resolve",
         action="store_true",
-        help="with backend 'auto', run the repro.tune probes (or hit the "
-        "tuning cache) and print the config with the tuned "
-        "backend/workers pinned — ready to commit",
+        help="with backend 'auto', apply the fixed auto rule and print the "
+        "config with the chosen backend, workers and pruning layers pinned "
+        "— ready to commit",
     )
-
-    tune = subparsers.add_parser(
-        "tune",
-        help="run the repro.tune calibration probes for a workload shape, "
-        "print the probe table and chosen point, and warm the persistent "
-        "tuning cache (backend='auto' runs then resolve instantly)",
-    )
-    _add_run_config_arguments(tune)
-    tune.add_argument(
-        "--target-length",
-        type=int,
-        default=2400,
-        help="bases of the synthesized target genome when the config names "
-        "no genome/targets (sizes the probed reference; default: 2400)",
-    )
-    tune.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="probe wall-clock budget (overrides the config's tune_budget_s; "
-        "the first probe always completes)",
-    )
-    tune.add_argument(
-        "--ignore-cache",
-        action="store_true",
-        help="probe even when the cache already holds a decision for this "
-        "(host, shape) key; the fresh verdict still overwrites the entry",
-    )
-    tune.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete the persistent tuning cache file and exit",
-    )
-    tune.add_argument("--seed", type=int, default=17)
 
     serve = subparsers.add_parser(
         "serve",
@@ -698,68 +660,13 @@ def _command_config_dump(args: argparse.Namespace) -> int:
         print(f"invalid run configuration: {error}", file=sys.stderr)
         return 2
     if args.resolve and run_config.backend == "auto":
-        from repro.tune import resolve_auto
-
-        run_config, decision = resolve_auto(run_config)
+        run_config = resolve_auto(run_config)
         print(
-            f"resolved backend=auto -> {decision.backend} "
-            f"({'tuning cache hit' if decision.cache_hit else f'{decision.n_probes} probes'})",
+            f"resolved backend=auto -> {run_config.backend} "
+            f"(workers={run_config.workers}, prune=True, lb_cascade=True)",
             file=sys.stderr,
         )
     print(run_config.to_json())
-    return 0
-
-
-def _command_tune(args: argparse.Namespace) -> int:
-    from repro.tune import TuningCache, tune_config
-
-    if args.clear_cache:
-        cache = TuningCache()
-        path = cache.path
-        cache.clear()
-        print(f"cleared tuning cache at {path}")
-        return 0
-    try:
-        run_config = _resolve_run_config(args)
-    except (ValueError, RuntimeError, OSError) as error:
-        print(f"invalid run configuration: {error}", file=sys.stderr)
-        return 2
-    if (
-        run_config.genome is None
-        and run_config.targets is None
-        and run_config.reference is None
-    ):
-        # No target named: probe against a synthesized genome of the
-        # requested scale (the shape, not the sequence, is what tuning sees).
-        run_config = run_config.with_(
-            genome=random_genome(args.target_length, seed=args.seed)
-        )
-    changes: Dict[str, Any] = {}
-    if args.budget is not None:
-        changes["tune_budget_s"] = args.budget
-    if args.ignore_cache:
-        changes["tune"] = {**dict(run_config.tune or {}), "ignore_cache": True}
-    if changes:
-        run_config = run_config.with_(**changes)
-    outcome = tune_config(run_config)
-    decision = outcome.decision
-    if decision.cache_hit:
-        print(f"tuning cache hit for key {outcome.key}")
-    else:
-        print(
-            f"probed {decision.n_probes} candidate(s) in {decision.probed_s:.3f}s "
-            f"(budget {run_config.tune_budget_s:g}s) for key {outcome.key}"
-        )
-        print(format_table(list(outcome.table())))
-    chosen = [
-        {"property": "backend", "value": decision.backend},
-        {"property": "workers", "value": decision.workers},
-        {"property": "prune", "value": decision.prune},
-        {"property": "lb_cascade", "value": decision.lb_cascade},
-        {"property": "cache_hit", "value": decision.cache_hit},
-        {"property": "cache_path", "value": outcome.cache_path},
-    ]
-    print(format_table(chosen))
     return 0
 
 
@@ -838,7 +745,6 @@ _COMMANDS = {
     "classify": _command_classify,
     "read-until": _command_read_until,
     "config-dump": _command_config_dump,
-    "tune": _command_tune,
     "serve": _command_serve,
     "trace": _command_trace,
     "runtime-model": _command_runtime,

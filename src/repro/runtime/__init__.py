@@ -26,7 +26,7 @@ The lower-level entry points (``build_pipeline`` specs,
 bit-identical decisions.
 """
 
-from repro.runtime.config import RunConfig, load_config_mapping
+from repro.runtime.config import RunConfig, load_config_mapping, resolve_auto
 from repro.runtime.session import ReadUntilSession, SessionClosedError, open_session
 
 __all__ = [
@@ -35,4 +35,5 @@ __all__ = [
     "SessionClosedError",
     "load_config_mapping",
     "open_session",
+    "resolve_auto",
 ]

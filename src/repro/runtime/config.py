@@ -17,6 +17,10 @@ The only non-serializable escape hatch is ``reference``: a prebuilt
 :class:`~repro.core.reference.ReferenceSquiggle` or
 :class:`~repro.core.panel.TargetPanel` attached in code (``to_dict`` refuses
 it so a dumped config never silently loses its reference).
+
+``backend="auto"`` is resolved by :func:`resolve_auto`, a fixed rule over
+the usable core count and the channel count; sessions, the serving layer
+and ``repro config-dump --resolve`` all call it when a session is opened.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.config import SDTWConfig
 
-__all__ = ["RunConfig", "load_config_mapping"]
+__all__ = ["RunConfig", "load_config_mapping", "resolve_auto"]
 
 # The built-in execution backends that take a worker count, and the
 # in-process ones that reject it; user-registered backends pass unchecked.
@@ -78,20 +82,12 @@ class RunConfig:
         implies ``trace=True``). Tracing never changes decisions.
     backend / workers / backend_options:
         Execution backend for the batched engine (any name in
-        :func:`repro.batch.available_backends`, or ``"auto"`` to let the
-        tuner pick). ``workers`` sizes the multi-process pools;
+        :func:`repro.batch.available_backends`, or ``"auto"`` for the fixed
+        rule of :func:`resolve_auto`). ``workers`` sizes the multi-process
+        pools (default: one per usable core, capped at 8);
         ``backend_options`` passes anything else straight to the backend
-        factory. With ``backend="auto"`` the backend/workers pair is
-        resolved at session spawn by :mod:`repro.tune` (calibration probes
-        on first use, the persistent tuning cache on repeat use) and the
-        unresolved fields are treated as unset.
-    tune / tune_budget_s:
-        Tuner knobs, only consulted when ``backend="auto"``. ``tune`` is a
-        free-form option mapping (``cache_path``, ``ignore_cache``,
-        ``margin``, ``min_probes``, ``rounds``, ``seed`` — see
-        :func:`repro.tune.tune_config`); ``tune_budget_s`` bounds probe
-        wall clock (the first probe always completes so resolution cannot
-        come back empty).
+        factory. ``backend="auto"`` picks the backend and workers itself,
+        so it rejects a ``workers`` value.
     prune / prune_margin:
         Pruning layer of the sDTW wavefront (early abandoning +
         active-column intervals). Off by default — brute force preserved
@@ -131,8 +127,6 @@ class RunConfig:
     prune_margin: float = 0.0
     lb_cascade: bool = False
     lb_level: int = 2
-    tune: Optional[Mapping[str, Any]] = None
-    tune_budget_s: float = 2.0
 
     def __post_init__(self) -> None:
         from repro.batch.backends import available_backends  # deferred: keeps core importable
@@ -175,14 +169,8 @@ class RunConfig:
             )
         if self.backend == "auto" and self.workers is not None:
             raise ValueError(
-                "workers: backend='auto' resolves workers through the tuner; "
+                "workers: backend='auto' picks the worker count itself; "
                 "pin the backend to set them by hand"
-            )
-        if self.tune is not None:
-            object.__setattr__(self, "tune", dict(self.tune))
-        if self.tune_budget_s <= 0:
-            raise ValueError(
-                f"tune_budget_s: must be positive, got {self.tune_budget_s}"
             )
         if self.prune_margin < 0:
             raise ValueError(f"prune_margin: must be non-negative, got {self.prune_margin}")
@@ -314,6 +302,31 @@ class RunConfig:
     def to_json(self) -> str:
         """The serialized config as an indented JSON string."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+def resolve_auto(config: RunConfig) -> RunConfig:
+    """The concrete config ``backend="auto"`` runs as; pinned configs pass through.
+
+    With ``w`` from :func:`repro.batch.backends.default_workers` (usable
+    cores, capped at 8) the rule is: ``numpy`` when ``w < 2``; else
+    ``sharded`` with ``w`` workers when there are at least ``w`` channels to
+    stripe lanes across; else ``colsharded`` with ``w`` workers, which
+    stripes reference columns instead. ``prune`` and ``lb_cascade`` are
+    always turned on, never off: both keep every decision bit-identical to
+    brute force. Resolving builds no engine and writes no file.
+    """
+    if config.backend != "auto":
+        return config
+    from repro.batch.backends import default_workers  # deferred: keeps core importable
+
+    workers: Optional[int] = default_workers()
+    if workers < 2:
+        backend, workers = "numpy", None
+    elif config.n_channels >= workers:
+        backend = "sharded"
+    else:
+        backend = "colsharded"
+    return config.with_(backend=backend, workers=workers, prune=True, lb_cascade=True)
 
 
 def _require_yaml(path: Path) -> Any:

@@ -7,7 +7,9 @@ call site:
 
 * **lazy backend creation** — nothing is spawned at ``open_session``; the
   classifier, engine and execution backend (worker pools, shared memory)
-  come up on the first chunk submitted;
+  come up on the first chunk submitted. ``backend="auto"`` is resolved at
+  open by :func:`~repro.runtime.config.resolve_auto`'s fixed rule, so the
+  backend is concrete before anything spawns;
 * **engine lifecycle** — the session is a context manager, ``close()`` is
   idempotent, a failure inside a round closes the session (no leaked worker
   pools when a run dies mid-stream), and any use after ``close()`` raises;
@@ -34,7 +36,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
-from repro.runtime.config import RunConfig
+from repro.runtime.config import RunConfig, resolve_auto
+from repro.sequencer.read_until_api import check_finite_chunks
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep open_session cheap
     from repro.batch.classifier import BatchSquiggleClassifier
@@ -88,13 +91,10 @@ class ReadUntilSession:
     supports_chunk_batching = True
 
     def __init__(self, config: RunConfig) -> None:
-        self.config = config
+        self.config = resolve_auto(config)
+        self._auto = config.backend == "auto"
         self._classifier: Optional["BatchSquiggleClassifier"] = None
         self._panel = None
-        # backend="auto" resolution state: the concrete post-tuning config
-        # and the decision that produced it (None until the backend spawns).
-        self._resolved_config: Optional[RunConfig] = None
-        self._tuned = None
         self._threshold = config.threshold
         self._closed = False
         self._n_rounds = 0
@@ -146,23 +146,23 @@ class ReadUntilSession:
 
     @property
     def backend_name(self) -> str:
-        """The backend this session runs (or will run) on.
-
-        ``"auto"`` until the first submission resolves it through the tuner;
-        the concrete tuned backend afterwards.
-        """
-        if self._resolved_config is not None:
-            return self._resolved_config.backend
+        """The backend this session runs (or will run) on; never ``"auto"``."""
         return self.config.backend
 
     @property
-    def tuned(self):
-        """The :class:`~repro.tune.TunedDecision` behind ``backend="auto"``.
+    def auto(self) -> Optional[Dict[str, Any]]:
+        """The point ``backend="auto"`` resolved to when the session opened.
 
-        ``None`` for pinned-backend configs and before the lazy first
-        submission spawns the backend.
+        ``{backend, workers, prune, lb_cascade}`` as chosen by
+        :func:`~repro.runtime.config.resolve_auto`; ``None`` when the config
+        pinned its backend.
         """
-        return self._tuned
+        if not self._auto:
+            return None
+        return {
+            name: getattr(self.config, name)
+            for name in ("backend", "workers", "prune", "lb_cascade")
+        }
 
     @property
     def threshold(self) -> Optional[float]:
@@ -199,41 +199,18 @@ class ReadUntilSession:
             self._panel = self.config.resolve_panel()
         return self._panel
 
-    def _resolve_config(self) -> RunConfig:
-        """The concrete config the backend spawns from.
-
-        Pinned configs pass through untouched. ``backend="auto"`` resolves
-        here — lazily, at first spawn, with the panel already built so the
-        workload shape is exact — via :func:`repro.tune.resolve_auto`:
-        probes on a cold cache (traced as ``tune.probe`` spans on this
-        session's tracer), a cache lookup on repeat runs. The decision is
-        memoized for the session's lifetime and reported under
-        ``summary()["tuned"]``.
-        """
-        if self._resolved_config is None:
-            if self.config.backend == "auto":
-                from repro.tune import resolve_auto
-
-                self._resolved_config, self._tuned = resolve_auto(
-                    self.config, panel=self._resolve_panel(), tracer=self._tracer
-                )
-            else:
-                self._resolved_config = self.config
-        return self._resolved_config
-
     def _ensure_classifier(self) -> "BatchSquiggleClassifier":
         self._check_open()
         if self._classifier is None:
             from repro.batch.classifier import BatchSquiggleClassifier
 
-            resolved = self._resolve_config()
             self._classifier = BatchSquiggleClassifier(
                 self._resolve_panel(),
-                config=resolved.hardware,
+                config=self.config.hardware,
                 threshold=self._threshold,
-                prefix_samples=resolved.prefix_samples,
+                prefix_samples=self.config.prefix_samples,
                 name=self.name,
-                run_config=resolved,
+                run_config=self.config,
                 tracer=self._tracer,
             )
         return self._classifier
@@ -292,19 +269,25 @@ class ReadUntilSession:
         ids are begun automatically, then the whole round advances through
         one batched wavefront exactly as the pipeline's fast path would.
 
-        A chunk holding a NaN or infinite sample raises :class:`ValueError`
-        naming the read before anything runs: no read of the round is
-        begun, and the session stays open for the next (valid) round.
+        Two malformed rounds raise :class:`ValueError` before anything runs
+        — no read of the round is begun, and the session stays open for the
+        next (valid) round: a chunk holding a NaN or infinite sample (the
+        error names the read), and a round that would leave more reads in
+        flight than ``n_channels``. A read is in flight from when it begins
+        until it is decided or ended; each channel carries one at a time, so
+        the cap bounds the engine's lanes.
         """
         self._check_open()
-        for chunk in round_chunks:
-            if not np.isfinite(chunk.signal_pa).all():
-                raise ValueError(
-                    f"signal_pa: chunk of read {chunk.read_id!r} holds non-finite "
-                    "samples (NaN or infinity); raw pA samples must be finite"
-                )
+        check_finite_chunks(round_chunks)
         self._acquire_writer("submit")
         try:
+            in_flight = len(self._begun | {chunk.read_id for chunk in round_chunks})
+            if in_flight > self.config.n_channels:
+                raise ValueError(
+                    f"n_channels: the round would leave {in_flight} reads in flight "
+                    f"on a session of {self.config.n_channels} channel(s); decide or "
+                    "end reads before beginning more"
+                )
             for chunk in round_chunks:
                 if chunk.read_id not in self._begun:
                     self.begin_read(chunk.read_id)
@@ -371,6 +354,7 @@ class ReadUntilSession:
         ``busy_rounds`` account idle vs busy polling rounds. With tracing
         enabled, ``phase_totals`` breaks the wall time down per span name
         (count / total / self seconds, from the tracer's accumulating view).
+        A ``backend="auto"`` session adds the resolved point under ``auto``.
 
         Raises :class:`SessionClosedError` on a closed session — capture the
         summary before :meth:`close` (the serving layer does exactly that
@@ -390,8 +374,8 @@ class ReadUntilSession:
         }
         if self.config.label is not None:
             summary["label"] = self.config.label
-        if self._tuned is not None:
-            summary["tuned"] = self._tuned.as_dict()
+        if self._auto:
+            summary["auto"] = self.auto
         if self._per_target_accepts:
             summary["per_target_accepts"] = dict(self._per_target_accepts)
         if self._classifier is not None:

@@ -57,6 +57,21 @@ class SignalChunk:
         return self.chunk_start_sample + self.chunk_length
 
 
+def check_finite_chunks(chunks: Sequence[SignalChunk]) -> None:
+    """Raise :class:`ValueError` naming the first chunk holding NaN or infinity.
+
+    A non-finite raw sample would otherwise normalize into a confident
+    (and meaningless) decision, so classifiers reject the whole round at
+    the boundary, before any of its reads touches lane state.
+    """
+    for chunk in chunks:
+        if not np.isfinite(chunk.signal_pa).all():
+            raise ValueError(
+                f"signal_pa: chunk of read {chunk.read_id!r} holds non-finite "
+                "samples (NaN or infinity); raw pA samples must be finite"
+            )
+
+
 @dataclass
 class ChannelState:
     """What one pore/channel is doing at the current simulation time."""

@@ -7,7 +7,9 @@ lifecycle keyed by session id:
 * **create** validates the tenant's config through
   :meth:`RunConfig.from_dict` — service clients get exactly the same
   field-naming error messages as local users — optionally overlaying it on
-  the server's default config template;
+  the server's default config template; ``backend="auto"`` resolves as the
+  session opens (:func:`~repro.runtime.config.resolve_auto`), and the
+  descriptor reports the chosen point under ``auto``;
 * **submit-round** deserializes the tenant's chunk payload, serializes
   rounds per session with an :class:`asyncio.Lock` (sessions are
   single-writer; the lock queues HTTP clients politely where the session
@@ -131,18 +133,10 @@ def action_from_payload(payload: Mapping[str, Any]) -> Action:
 class _ManagedSession:
     """One tenant's session plus its service-side bookkeeping."""
 
-    def __init__(
-        self,
-        session_id: str,
-        config: RunConfig,
-        session: ReadUntilSession,
-        tuned: Optional[Any] = None,
-    ):
+    def __init__(self, session_id: str, session: ReadUntilSession):
         self.session_id = session_id
-        self.config = config
+        self.config = session.config
         self.session = session
-        # The TunedDecision behind backend="auto" (None for pinned configs).
-        self.tuned = tuned
         self.lock = asyncio.Lock()
         self.created_at = time.time()
         self.rounds = 0
@@ -172,10 +166,6 @@ class SessionManager:
         self.max_sessions = int(max_sessions)
         self._sessions: Dict[str, _ManagedSession] = {}
         self._counter = 0
-        # backend="auto" is resolved once per workload-shape key and the
-        # decision replayed for every subsequent tenant session of that
-        # template — probes run at most once per server process per shape.
-        self._tuned_templates: Dict[str, Any] = {}
         self.metrics.describe(
             "repro_serve_round_latency_seconds",
             "Server-side latency of one classification round",
@@ -201,8 +191,8 @@ class SessionManager:
         )
         self.metrics.describe(
             "repro_serve_tuned_backend",
-            "Info gauge: what backend='auto' resolved to (backend and cache-hit "
-            "status travel as labels; the value is always 1)",
+            "Info gauge: what backend='auto' resolved to (the backend travels "
+            "as a label; the value is always 1)",
         )
 
     # ---------------------------------------------------------------- create
@@ -227,25 +217,6 @@ class SessionManager:
             )
         return RunConfig.from_dict(merged)
 
-    def _resolve_auto(self, run_config: RunConfig):
-        """Resolve ``backend="auto"`` once per workload-shape template.
-
-        The first tenant session of a shape pays the probes (or a tuning
-        cache hit); every later one replays the memoized decision — marked
-        ``cache_hit=True``, since no probes ran for it. Multi-tenant
-        servers therefore tune each template exactly once per process.
-        """
-        import dataclasses
-
-        from repro.tune import WorkloadShape, cache_key, tune_config
-
-        key = cache_key(WorkloadShape.from_config(run_config))
-        decision = self._tuned_templates.get(key)
-        if decision is None:
-            decision = tune_config(run_config).decision
-            self._tuned_templates[key] = dataclasses.replace(decision, cache_hit=True)
-        return decision.apply(run_config), decision
-
     def create(self, config: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Open a session for one tenant config; returns its descriptor."""
         run_config = self.resolve_config(config)
@@ -253,9 +224,6 @@ class SessionManager:
             raise PoolSaturatedSessions(
                 f"session limit reached ({self.max_sessions}); close a session first"
             )
-        tuned = None
-        if run_config.backend == "auto":
-            run_config, tuned = self._resolve_auto(run_config)
         self._counter += 1
         slug = _ID_SANITIZER.sub("-", run_config.label or "session").strip("-") or "session"
         session_id = f"{slug}-{self._counter:04d}"
@@ -264,17 +232,15 @@ class SessionManager:
         # the recorder is bounded so long-lived tenants cannot grow memory.
         if not run_config.tracing_enabled:
             run_config = run_config.with_(trace=True)
-        self._sessions[session_id] = _ManagedSession(
-            session_id, run_config, open_session(run_config), tuned=tuned
-        )
+        session = open_session(run_config)
+        self._sessions[session_id] = _ManagedSession(session_id, session)
         self.metrics.set_gauge("repro_serve_sessions_open", len(self._sessions))
-        if tuned is not None:
+        if session.auto is not None:
             self.metrics.set_gauge(
                 "repro_serve_tuned_backend",
                 1,
                 session=session_id,
-                backend=tuned.backend,
-                cache_hit="true" if tuned.cache_hit else "false",
+                backend=session.backend_name,
             )
         return self.describe(session_id)
 
@@ -288,8 +254,8 @@ class SessionManager:
             "rounds": managed.rounds,
             "started": managed.session.started,
         }
-        if managed.tuned is not None:
-            descriptor["tuned"] = managed.tuned.as_dict()
+        if managed.session.auto is not None:
+            descriptor["auto"] = managed.session.auto
         return descriptor
 
     # ---------------------------------------------------------------- rounds

@@ -8,12 +8,14 @@ on every registered execution backend.
 """
 
 import json
+import os
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.batch.backends import ColumnShardedBackend, ShardedProcessBackend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.core.config import SDTWConfig
 from repro.pipeline.api import build_pipeline
@@ -23,6 +25,7 @@ from repro.runtime import (
     RunConfig,
     SessionClosedError,
     open_session,
+    resolve_auto,
 )
 from repro.sequencer.read_until_api import SignalChunk
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
@@ -91,6 +94,14 @@ class TestRunConfigValidation:
         config = RunConfig(backend="sharded", workers=3, backend_options={"extra": 1})
         assert config.resolved_backend_options() == {"workers": 3, "extra": 1}
 
+    def test_auto_backend_validates(self):
+        assert RunConfig(genome="ACGT" * 100, backend="auto").backend == "auto"
+        assert RunConfig(genome="ACGT" * 100, backend="AUTO").backend == "auto"
+
+    def test_auto_rejects_manual_sizing(self):
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(backend="auto", workers=2)
+
 
 # ------------------------------------------------------------ serialization
 class TestRunConfigSerialization:
@@ -119,6 +130,10 @@ class TestRunConfigSerialization:
             RunConfig.from_dict({"n_channel": 4})
         with pytest.raises(ValueError, match="^tile_columns"):
             RunConfig.from_dict({"tile_columns": 64})
+        with pytest.raises(ValueError, match="^tune_budget_s"):
+            RunConfig.from_dict({"tune_budget_s": 2.0})
+        with pytest.raises(ValueError, match="^tune: "):
+            RunConfig.from_dict({"tune": {}})
 
     def test_prebuilt_reference_not_serializable(self, reference_squiggle):
         config = RunConfig(reference=reference_squiggle)
@@ -217,7 +232,7 @@ class TestSessionLifecycle:
             session.submit([_chunk("r1", target_signals[0][:400], last=True)])
 
     def test_summary_tallies_decisions(self, reference_squiggle, target_signals):
-        with open_session(self._config(reference_squiggle)) as session:
+        with open_session(self._config(reference_squiggle, n_channels=2)) as session:
             session.submit(
                 [
                     _chunk("r0", target_signals[0][:400], last=True),
@@ -290,6 +305,56 @@ class TestSessionLifecycle:
             actions = session.submit([_chunk("r0", target_signals[0][:400], last=True)])
             assert len(actions) == 1 and actions[0].is_terminal
             assert session.summary()["rounds"] == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chunk_rejected_on_the_fast_paths(
+        self, reference_squiggle, target_signals, bad
+    ):
+        """The pipeline's fast path (session ``on_chunk_batch``) and the
+        classifier's own ``on_chunk_batch`` reject a NaN/±inf round too,
+        instead of turning it into a confident eject."""
+        poisoned = np.full(400, bad)
+        round_chunks = [
+            _chunk("r-good", target_signals[1][:400], channel=1, last=True),
+            _chunk("r-bad", poisoned, last=True),
+        ]
+        with BatchSquiggleClassifier(
+            reference_squiggle, threshold=1e9, prefix_samples=400
+        ) as classifier:
+            with pytest.raises(ValueError, match="^signal_pa: .*'r-bad'"):
+                classifier.on_chunk_batch(round_chunks)
+            assert classifier.engine.n_active == 0  # no lane was admitted
+        with open_session(self._config(reference_squiggle, n_channels=2)) as session:
+            for chunk in round_chunks:
+                session.begin_read(chunk.read_id)
+            with pytest.raises(ValueError, match="^signal_pa: .*'r-bad'"):
+                session.on_chunk_batch(round_chunks)
+
+    def test_round_beyond_n_channels_rejected_before_any_read_begins(
+        self, reference_squiggle, target_signals
+    ):
+        """A round that would leave more reads in flight than the session
+        has channels fails with a field-named ValueError before any of its
+        reads begins, so the engine never grows; the session stays open."""
+        signal = target_signals[0][:400]
+        with open_session(self._config(reference_squiggle)) as session:
+            session.submit([_chunk("r0", signal, last=True)])
+            capacity = session.engine.capacity
+            flood = [_chunk(f"flood{i}", signal, last=True) for i in range(4096)]
+            with pytest.raises(ValueError, match="^n_channels: .*4096 reads"):
+                session.submit(flood)
+            assert session.engine.capacity == capacity
+            assert session.engine.n_active == 0
+            # One undecided read occupies the only channel: a second read
+            # cannot begin until the first is decided.
+            session.submit([_chunk("r1", signal[:200])])
+            with pytest.raises(ValueError, match="^n_channels"):
+                session.submit([_chunk("r2", signal, last=True)])
+            actions = session.submit([_chunk("r1", signal[200:], start=200, last=True)])
+            assert actions[0].is_terminal
+            actions = session.submit([_chunk("r2", signal, last=True)])
+            assert actions[0].is_terminal
+            assert not session.closed
 
     def test_concurrent_submit_from_second_thread_raises(
         self, reference_squiggle, target_signals
@@ -440,6 +505,104 @@ class TestSessionBitIdentity:
         assert _decision_fields(result) == baseline
 
 
+# ------------------------------------------------------------ backend="auto"
+class TestAutoBackend:
+    @pytest.mark.parametrize(
+        "cores,n_channels,expected",
+        [
+            (1, 1, ("numpy", None, True, True)),
+            (1, 2, ("numpy", None, True, True)),
+            (1, 64, ("numpy", None, True, True)),
+            (2, 1, ("colsharded", 2, True, True)),
+            (2, 2, ("sharded", 2, True, True)),
+            (2, 64, ("sharded", 2, True, True)),
+            (4, 1, ("colsharded", 4, True, True)),
+            (4, 2, ("colsharded", 4, True, True)),
+            (4, 64, ("sharded", 4, True, True)),
+            (16, 64, ("sharded", 8, True, True)),
+        ],
+    )
+    def test_rule_table(self, monkeypatch, cores, n_channels, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        resolved = resolve_auto(RunConfig(backend="auto", n_channels=n_channels))
+        assert (
+            resolved.backend,
+            resolved.workers,
+            resolved.prune,
+            resolved.lb_cascade,
+        ) == expected
+
+    def test_default_worker_count_uses_every_usable_core(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        reference = np.arange(64, dtype=np.int64) % 9
+        for backend_class in (ShardedProcessBackend, ColumnShardedBackend):
+            backend = backend_class(reference, SDTWConfig.hardware())
+            try:
+                assert backend.n_workers == 2, backend_class.__name__
+            finally:
+                backend.close()
+
+    def test_auto_decisions_bit_identical_to_pinned(
+        self,
+        reference_squiggle,
+        target_genome,
+        runtime_threshold,
+        runtime_flowcell_reads,
+    ):
+        """Acceptance: the seeded 8-channel flowcell decides identically
+        with backend='auto' (whatever point the rule picks) and with the
+        chosen backend pinned by hand."""
+        auto_config = session_config(
+            reference_squiggle, runtime_threshold, backend="auto"
+        )
+        with open_session(auto_config) as session:
+            auto_result = session.run(
+                runtime_flowcell_reads, target_genome=target_genome
+            )
+            auto = session.auto
+            assert auto is not None
+            summary = session.summary()
+        assert summary["backend"] == auto["backend"]
+        assert summary["auto"]["backend"] == auto["backend"]
+
+        pinned_config = session_config(
+            reference_squiggle,
+            runtime_threshold,
+            backend=auto["backend"],
+            workers=auto["workers"],
+            prune=auto["prune"],
+            lb_cascade=auto["lb_cascade"],
+        )
+        with open_session(pinned_config) as session:
+            pinned_result = session.run(
+                runtime_flowcell_reads, target_genome=target_genome
+            )
+        assert _decision_fields(auto_result) == _decision_fields(pinned_result)
+
+        # And identical to plain brute-force numpy: the rule may only change
+        # speed, never a decision.
+        numpy_config = session_config(reference_squiggle, runtime_threshold)
+        with open_session(numpy_config) as session:
+            numpy_result = session.run(
+                runtime_flowcell_reads, target_genome=target_genome
+            )
+        assert _decision_fields(auto_result) == _decision_fields(numpy_result)
+
+    def test_backend_name_before_and_after_resolution(
+        self, reference_squiggle, runtime_threshold
+    ):
+        """auto resolves when the session opens: the backend is concrete
+        before anything spawns, and spawning does not change it."""
+        config = session_config(reference_squiggle, runtime_threshold, backend="auto")
+        with open_session(config) as session:
+            resolved = session.backend_name
+            assert resolved != "auto"
+            assert not session.started
+            session.classifier
+            assert session.backend_name == resolved
+
+
 # ----------------------------------------------------- classifier run_config
 class TestDeprecationShims:
     def test_classifier_default_construction_does_not_warn(self, reference_squiggle):
@@ -494,6 +657,22 @@ class TestCliRunConfig:
         assert dumped["workers"] == 2
         assert dumped["prefix_samples"] == 500
         assert dumped["n_channels"] == 4
+
+    def test_config_dump_resolve_pins_the_auto_point(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        exit_code = main(
+            ["config-dump", "--backend", "auto", "--n-channels", "64", "--resolve"]
+        )
+        assert exit_code == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert (
+            dumped["backend"],
+            dumped["workers"],
+            dumped["prune"],
+            dumped["lb_cascade"],
+        ) == ("sharded", 2, True, True)
 
     def test_config_dump_rejects_invalid_config(self, tmp_path, capsys):
         from repro.cli import main

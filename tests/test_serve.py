@@ -235,6 +235,31 @@ class TestSessionManagerConfig:
 
         run(scenario())
 
+    def test_auto_resolved_at_create_and_gauge_exported(self):
+        async def scenario():
+            metrics = MetricsRegistry()
+            manager = self._manager(
+                metrics=metrics,
+                default_config=service_config(backend="auto"),
+            )
+            try:
+                first = manager.create()
+                second = manager.create()
+                assert first["backend"] != "auto"
+                assert second["backend"] == first["backend"]
+                assert first["auto"]["backend"] == first["backend"]
+                assert first["auto"]["prune"] and first["auto"]["lb_cascade"]
+                assert not first["started"]  # resolving spawned nothing
+                text = metrics.render()
+                assert "repro_serve_tuned_backend" in text
+                assert f'backend="{first["backend"]}"' in text
+                assert "cache_hit" not in text
+            finally:
+                await manager.drain()
+                await manager.pool.close()
+
+        run(scenario())
+
     def test_wire_chunk_validation_names_the_problem(self):
         with pytest.raises(ValueError, match="read_id"):
             chunk_from_payload({"signal": [1.0]})
@@ -370,6 +395,22 @@ class TestHttpEndToEnd:
         assert excinfo.value.status == 400
         assert excinfo.value.message.startswith("signal_pa")
         assert "r-bad" in excinfo.value.message
+        actions, meta = serve_client.submit_round(session_id, [wire_chunk("r0")])
+        assert len(actions) == 1 and actions[0].is_terminal
+        assert meta["round"] == 1
+        serve_client.close_session(session_id)
+
+    def test_round_beyond_n_channels_gets_400_and_the_session_keeps_deciding(
+        self, serve_client
+    ):
+        session_id = serve_client.create_session(
+            service_config(label="flood", n_channels=1)
+        )
+        flood = [wire_chunk(f"flood{i}", n=4, seed=i) for i in range(4096)]
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.submit_round(session_id, flood)
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("n_channels")
         actions, meta = serve_client.submit_round(session_id, [wire_chunk("r0")])
         assert len(actions) == 1 and actions[0].is_terminal
         assert meta["round"] == 1
