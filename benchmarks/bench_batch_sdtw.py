@@ -456,8 +456,8 @@ def main(argv=None):
         "--config",
         default=None,
         metavar="PATH",
-        help="load a repro.runtime.RunConfig (JSON/YAML): its backend, "
-        "and workers become the measured backend when no "
+        help="load a repro.runtime.RunConfig (JSON/YAML): its backend and "
+        "workers become the measured backend when no "
         "--backend flags are given, and the serialized config is recorded "
         "under the report's 'run_config' key for reproducibility",
     )
@@ -594,24 +594,17 @@ def main(argv=None):
     if args.backend is None and run_config is not None:
         # The config names the backend under measurement; the numpy baseline
         # stays as the comparison row.
-        options = run_config.resolved_backend_options()
         if run_config.backend != "numpy":
+            options = None if run_config.workers is None else {"workers": run_config.workers}
             specs.append((f"{run_config.backend}[config]", run_config.backend, options))
-        elif options:
-            specs.append(("numpy[config]", "numpy", options))
     else:
         for backend in args.backend or ["numpy"]:
             if backend == "numpy":
                 continue
-            if backend in ("sharded", "colsharded"):
-                for workers in args.workers:
-                    specs.append(
-                        (f"{backend}[workers={workers}]", backend, {"workers": workers})
-                    )
-            else:
-                # The in-process "native" backend takes no worker count;
-                # measure it once with default options.
-                specs.append((backend, backend, None))
+            for workers in args.workers:
+                specs.append(
+                    (f"{backend}[workers={workers}]", backend, {"workers": workers})
+                )
 
     reference = ReferenceSquiggle.from_genome(
         random_genome(args.genome_bases, seed=args.seed)

@@ -1,32 +1,10 @@
-"""Setuptools shim: legacy editable installs + the optional native extension.
+"""Setuptools shim for legacy editable installs.
 
 All project metadata lives in pyproject.toml. This file enables the legacy
 editable-install path on environments whose setuptools cannot build PEP 517
-editable wheels, and — when Cython is importable — builds the optional
-ahead-of-time scalar-kernel extension (``repro.batch._native_kernel``, see
-``src/repro/batch/_native_kernel.pyx``). Without Cython the extension list
-is empty and the install proceeds pure-Python: the ``native`` backend then
-uses Numba (when installed) or its pure-Python kernel, bit-identically.
-
-Build the extension explicitly with ``pip install -e .[native]`` or
-``python setup.py build_ext --inplace``.
+editable wheels.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "repro.batch._native_kernel",
-                ["src/repro/batch/_native_kernel.pyx"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup()

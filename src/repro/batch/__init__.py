@@ -14,9 +14,8 @@ round. The subsystem is split into three layers:
   :class:`ShardedProcessBackend` stripes *lanes* across a persistent pool of
   worker processes with shared-memory state blocks, and
   :class:`ColumnShardedBackend` stripes *reference columns* across the pool
-  so even a single-channel genome-scale workload uses every core (the
-  ``"native"`` compiled scalar loop lives in :mod:`repro.batch.native`).
-  All backends are panel-aware: a multi-target
+  so even a single-channel genome-scale workload uses every core. All
+  backends are panel-aware: a multi-target
   :class:`~repro.core.panel.TargetPanel` advances in the same wavefront and
   reduces per target;
 * :class:`BatchSDTWEngine` — the backend-agnostic **lane manager**: admission

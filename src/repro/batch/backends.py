@@ -22,7 +22,7 @@ cost/local-end pair per lane, bit-identical to independent single-reference
 runs (a plain single reference is one block, so the arrays are just
 ``(n_lanes, 1)``).
 
-Four implementations are registered, mirroring how UNCALLED exposes its DTW
+Three implementations are registered, mirroring how UNCALLED exposes its DTW
 variants behind a string-keyed ``METHODS`` mapping:
 
 * :class:`NumpyBackend` (``"numpy"``) — the in-process path: one
@@ -46,11 +46,6 @@ variants behind a string-keyed ``METHODS`` mapping:
   partial minima, which the parent merges left-to-right. This is the shape
   that parallelizes a **single-channel genome-scale** workload, where lane
   sharding has nothing to stripe.
-* :class:`~repro.batch.native.NativeBackend` (``"native"``) — the int32 fast
-  path compiled to a Numba ``njit`` scalar loop, where pruning's early
-  abandoning is a real ``break`` instead of a masked vector op. The name is
-  always registered and construction without Numba raises with an install
-  hint.
 
 All backends run the same kernel on the same per-lane state, so per-lane,
 per-target costs, rows and therefore Read Until decisions are bit-identical —
@@ -83,6 +78,7 @@ from repro.obs.trace import NULL_TRACER, Tracer, worker_span
 from repro.core.sdtw import (
     AdvanceStats,
     BatchSDTWState,
+    int32_data_path,
     normalize_block_starts,
     reduce_block_minima,
     sdtw_resume_batch,
@@ -242,17 +238,12 @@ def create_backend(
 def _state_dtypes(config: SDTWConfig) -> Tuple[np.dtype, np.dtype]:
     """(rows, runs) storage dtypes for a backend's resident state.
 
-    The all-integer hardware data path (quantized, absolute distance,
-    whole-number bonus — the preconditions of the kernel's int32 fast path)
-    stores ``int32`` rows and runs: every intermediate the kernel produces on
-    that path fits comfortably, and the footprint halves. Other
-    configurations store the :class:`BatchSDTWState` dtypes directly.
+    The all-integer hardware data path (:func:`~repro.core.sdtw.int32_data_path`,
+    the precondition of the kernel's int32 fast path) stores ``int32`` rows
+    and runs, halving the footprint. Other configurations store the
+    :class:`BatchSDTWState` dtypes directly.
     """
-    if (
-        config.quantize
-        and config.distance == "absolute"
-        and float(config.match_bonus).is_integer()
-    ):
+    if int32_data_path(config):
         return np.dtype(np.int32), np.dtype(np.int32)
     rows = np.dtype(np.int64) if config.quantize else np.dtype(np.float64)
     return rows, np.dtype(np.int64)
@@ -1262,8 +1253,3 @@ class ColumnShardedBackend(_WorkerPoolBackend):
             views.rows[lanes] = state.rows[:, tile_start:tile_end]
             views.runs[lanes] = state.runs[:, tile_start:tile_end]
             views.samples[lanes] = state.samples_processed
-
-
-# Registers the "native" backend; imported last because the module subclasses
-# NumpyBackend. A plain module import tolerates either import order.
-import repro.batch.native  # noqa: E402,F401

@@ -73,7 +73,8 @@ class BatchSquiggleClassifier:
             # The config is the declarative description of the run: any field
             # not explicitly overridden by a kwarg comes from it.
             backend = run_config.backend
-            backend_options = run_config.resolved_backend_options()
+            if run_config.workers is not None:
+                backend_options = {"workers": run_config.workers}
             if config is None:
                 config = run_config.hardware
             if threshold is None:

@@ -14,12 +14,11 @@ sequencing while low-confidence reads get more signal before the decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.batch.backends import ExecutionBackend, create_backend
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
 from repro.core.normalization import NormalizationConfig, SignalNormalizer
@@ -29,20 +28,8 @@ from repro.core.sdtw import SDTWResult, sdtw_cost
 from repro.core.thresholds import choose_threshold
 from repro.pore_model.kmer_model import KmerModel
 
-if TYPE_CHECKING:  # duck-typed at runtime; avoids a hard runtime dependency
-    from repro.runtime.config import RunConfig
-
 # The paper's default operating point: one stage examining 2000 samples.
 DEFAULT_PREFIX_SAMPLES = 2000
-
-
-def _run_backend(
-    run_config: Optional["RunConfig"],
-) -> Tuple[str, Optional[Mapping[str, Any]]]:
-    """The execution backend (and its options) a batch method runs on."""
-    if run_config is None:
-        return "numpy", None
-    return run_config.backend, run_config.resolved_backend_options()
 
 
 @dataclass(frozen=True)
@@ -203,32 +190,16 @@ class SquiggleFilter:
             target_costs=tuple(alignments[name].cost for name in self.panel.names),
         )
 
-    def _batch_states(
-        self,
-        raw_signals: Sequence[np.ndarray],
-        prefix_samples: Optional[int],
-        backend: Union[str, ExecutionBackend] = "numpy",
-        backend_options: Optional[Mapping[str, Any]] = None,
-    ):
-        """Align many prepared prefixes with one batched wavefront.
+    def _batch_states(self, raw_signals: Sequence[np.ndarray], prefix_samples: Optional[int]):
+        """Align many prepared prefixes with one in-process batched wavefront.
 
         Returns ``(queries, snapshots)`` where snapshot ``i`` carries the same
         cost/end-position :meth:`alignment` computes for signal ``i``. Only
         the resumable (no-reference-deletion) recurrences batch; callers fall
-        back to the per-read loop for the vanilla recurrence. ``backend``
-        picks the execution backend the one-shot engine advances on: a name
-        spins the backend up and tears it down inside this call (a whole
-        worker pool for ``"sharded"``), a prebuilt
-        :class:`~repro.batch.backends.ExecutionBackend` instance is borrowed
-        and survives the call — pass an instance when classifying repeatedly.
+        back to the per-read loop for the vanilla recurrence.
         """
         queries = [self.prepare_query(signal, prefix_samples) for signal in raw_signals]
-        with BatchSDTWEngine(
-            self.panel,
-            self.config,
-            backend=backend,
-            backend_options=backend_options,
-        ) as engine:
+        with BatchSDTWEngine(self.panel, self.config) as engine:
             snapshots = engine.step(list(enumerate(queries)))
         return queries, [snapshots[index] for index in range(len(queries))]
 
@@ -236,24 +207,19 @@ class SquiggleFilter:
         self,
         raw_signals: Sequence[np.ndarray],
         prefix_samples: Optional[int] = None,
-        run_config: Optional["RunConfig"] = None,
     ) -> List[float]:
         """Alignment costs for many reads via one batched wavefront.
 
-        Identical values to calling :meth:`cost` per read — whatever
-        execution backend runs the wavefront; the calibration and sweep
-        helpers use this so experiments stop looping the kernel in Python.
-        ``run_config`` (a :class:`repro.runtime.RunConfig`) names the
-        backend (in-process numpy when omitted).
+        Identical values to calling :meth:`cost` per read; the calibration
+        and sweep helpers use this so experiments stop looping the kernel in
+        Python.
         """
         if not raw_signals:
             return []
         if self.config.allow_reference_deletions:
             # The vanilla recurrence is not resumable, hence not batchable.
             return [self.cost(signal, prefix_samples) for signal in raw_signals]
-        _, snapshots = self._batch_states(
-            raw_signals, prefix_samples, *_run_backend(run_config)
-        )
+        _, snapshots = self._batch_states(raw_signals, prefix_samples)
         return [float(snapshot.cost) for snapshot in snapshots]
 
     def classify_batch(
@@ -261,29 +227,15 @@ class SquiggleFilter:
         raw_signals: Sequence[np.ndarray],
         threshold: Optional[float] = None,
         prefix_samples: Optional[int] = None,
-        run_config: Optional["RunConfig"] = None,
     ) -> List[FilterDecision]:
         """Classify a batch of reads with one batched sDTW wavefront.
 
         Decisions are identical to per-read :meth:`classify` calls; the work
-        runs through :class:`~repro.batch.BatchSDTWEngine` (one set of matrix
-        ops per wavefront step across all reads) instead of a Python loop.
-        ``run_config`` (a :class:`repro.runtime.RunConfig`) selects the
-        execution backend without changing any decision.
+        runs in-process through :class:`~repro.batch.BatchSDTWEngine` (one
+        set of matrix ops per wavefront step across all reads) instead of a
+        Python loop. Streaming runs pick an execution backend through
+        :class:`repro.runtime.RunConfig` instead.
         """
-        return self._classify_batch(
-            raw_signals, threshold, prefix_samples, *_run_backend(run_config)
-        )
-
-    def _classify_batch(
-        self,
-        raw_signals: Sequence[np.ndarray],
-        threshold: Optional[float] = None,
-        prefix_samples: Optional[int] = None,
-        backend: Union[str, ExecutionBackend] = "numpy",
-        backend_options: Optional[Mapping[str, Any]] = None,
-    ) -> List[FilterDecision]:
-        """:meth:`classify_batch` on a named backend or a borrowed instance."""
         effective_threshold = threshold if threshold is not None else self.threshold
         if effective_threshold is None:
             raise ValueError(
@@ -294,9 +246,7 @@ class SquiggleFilter:
         if self.config.allow_reference_deletions:
             return [self.classify(signal, threshold, prefix_samples) for signal in raw_signals]
         used = prefix_samples if prefix_samples is not None else self.prefix_samples
-        queries, snapshots = self._batch_states(
-            raw_signals, prefix_samples, backend, backend_options
-        )
+        queries, snapshots = self._batch_states(raw_signals, prefix_samples)
         decisions: List[FilterDecision] = []
         for signal, query, snapshot in zip(raw_signals, queries, snapshots):
             samples_used = min(int(np.asarray(signal).size), used)
@@ -409,61 +359,35 @@ class MultiStageSquiggleFilter:
         assert last_decision is not None
         return last_decision
 
-    def classify_batch(
-        self,
-        raw_signals: Sequence[np.ndarray],
-        run_config: Optional["RunConfig"] = None,
-    ) -> List[FilterDecision]:
+    def classify_batch(self, raw_signals: Sequence[np.ndarray]) -> List[FilterDecision]:
         """Stage-by-stage batched classification.
 
         Each stage advances every still-undecided read with one batched
         wavefront (:meth:`SquiggleFilter.classify_batch`), so a calibration
         sweep over N reads costs ``n_stages`` kernel launches instead of up
         to ``N * n_stages``. Decisions are identical to per-read
-        :meth:`classify` calls, on whichever execution backend
-        ``run_config`` names. A non-numpy backend is instantiated **once**
-        and reused across every stage (one worker-pool spawn per call for
-        ``"sharded"``, not one per stage), then released.
+        :meth:`classify` calls.
         """
-        backend, backend_options = _run_backend(run_config)
         signals = [np.asarray(signal, dtype=np.float64) for signal in raw_signals]
-        owned: Optional[ExecutionBackend] = None
-        if isinstance(backend, str) and backend != "numpy" and signals:
-            options = dict(backend_options or {})
-            options.setdefault("block_starts", self._filter.panel.offsets)
-            owned = create_backend(
-                backend,
-                self._filter._reference_values,
-                self.config,
-                max(len(signals), 1),
-                **options,
+        decisions: List[Optional[FilterDecision]] = [None] * len(signals)
+        pending = list(range(len(signals)))
+        for index, stage in enumerate(self.stages):
+            if not pending:
+                break
+            staged = self._filter.classify_batch(
+                [signals[i] for i in pending],
+                threshold=stage.threshold,
+                prefix_samples=stage.prefix_samples,
             )
-            backend, backend_options = owned, None
-        try:
-            decisions: List[Optional[FilterDecision]] = [None] * len(signals)
-            pending = list(range(len(signals)))
-            for index, stage in enumerate(self.stages):
-                if not pending:
-                    break
-                staged = self._filter._classify_batch(
-                    [signals[i] for i in pending],
-                    threshold=stage.threshold,
-                    prefix_samples=stage.prefix_samples,
-                    backend=backend,
-                    backend_options=backend_options,
-                )
-                is_last = index == len(self.stages) - 1
-                survivors: List[int] = []
-                for i, decision in zip(pending, staged):
-                    decision = replace(decision, stage=index)
-                    if not decision.accept or is_last:
-                        decisions[i] = decision
-                    else:
-                        survivors.append(i)
-                pending = survivors
-        finally:
-            if owned is not None:
-                owned.close()
+            is_last = index == len(self.stages) - 1
+            survivors: List[int] = []
+            for i, decision in zip(pending, staged):
+                decision = replace(decision, stage=index)
+                if not decision.accept or is_last:
+                    decisions[i] = decision
+                else:
+                    survivors.append(i)
+            pending = survivors
         assert all(decision is not None for decision in decisions)
         return decisions  # type: ignore[return-value]
 

@@ -47,6 +47,7 @@ __all__ = [
     "BatchSDTWState",
     "SDTWResult",
     "SDTWState",
+    "int32_data_path",
     "lb_envelopes",
     "lb_keogh_bounds",
     "lb_kim_bound",
@@ -183,6 +184,23 @@ def _accumulator_dtype(config: SDTWConfig):
 def _big_for(dtype):
     """A shifted-in boundary cost that is never selected by the minimum."""
     return np.int64(2**40) if dtype is np.int64 else np.inf
+
+
+def int32_data_path(config: SDTWConfig) -> bool:
+    """Whether ``config`` is the all-integer hardware data path.
+
+    Quantized values, absolute distance and a whole-number bonus whose
+    largest credit (``match_bonus * match_bonus_cap``) stays below ``2**28``.
+    On this path the batched wavefront may run its ``int32`` kernel and the
+    multi-process backends store ``int32`` rows and runs; each call still
+    checks its own value range before taking the ``int32`` kernel.
+    """
+    return (
+        config.quantize
+        and config.distance == "absolute"
+        and float(config.match_bonus).is_integer()
+        and config.match_bonus * config.match_bonus_cap < 2**28
+    )
 
 
 def normalize_block_starts(block_starts, reference_length: int) -> np.ndarray:
@@ -711,12 +729,7 @@ def _resume_batch_arrays(
     order_index = np.asarray(order, dtype=np.intp)
     inverse_index = np.asarray(inverse, dtype=np.intp)
 
-    use_int_path = (
-        cfg.quantize
-        and cfg.distance == "absolute"
-        and float(bonus).is_integer()
-        and cap * bonus < 2**28
-    )
+    use_int_path = int32_data_path(cfg)
     if use_int_path:
         # The int32 path needs every intermediate cost to stay far from the
         # sentinel; bound it by what this call can add to what the state holds.

@@ -570,14 +570,13 @@ def build_pipeline(spec: Any) -> "Any":
         panel. Becomes the classifier's ``reference``, so one session
         screens every panel member at once and the streaming summary
         reports per-target accept counts.
-    ``backend`` / ``backend_options``
+    ``backend`` / ``workers``
         Execution backend for a batch-capable classifier's engine (any name
         in :func:`repro.batch.available_backends`: ``"numpy"`` in-process,
         ``"sharded"`` lanes across a worker-process pool, ``"colsharded"``
-        reference columns across the pool; ``backend_options: {"workers":
-        N}`` sizes the pools). These
-        keys are folded into a :class:`repro.runtime.RunConfig` handed to
-        the classifier factory as ``run_config``, so the chosen classifier
+        reference columns across the pool; ``workers: N`` sizes the pools).
+        These keys are folded into a :class:`repro.runtime.RunConfig` handed
+        to the classifier factory as ``run_config``, so the chosen classifier
         must accept it (``"batch_squigglefilter"`` does).
     Remaining keys (``prefix_samples``, ``chunk_samples``, ``n_channels``,
     ``decision_latency_s``, ``assemble``, ``batch``, ...) are forwarded to
@@ -629,14 +628,11 @@ def build_pipeline(spec: Any) -> "Any":
             params["reference"] = TargetPanel.coerce(targets)
     params.setdefault("genome", target_genome)
     backend = config.pop("backend", None)
-    backend_options = config.pop("backend_options", None)
-    if (backend is not None or backend_options is not None) and "run_config" not in params:
+    workers = config.pop("workers", None)
+    if (backend is not None or workers is not None) and "run_config" not in params:
         # Fold the spec's execution keys into the RunConfig the classifier takes.
-        options = dict(backend_options or {})
         params["run_config"] = RunConfig(
-            backend=backend if backend is not None else "numpy",
-            workers=options.pop("workers", None),
-            backend_options=options,
+            backend=backend if backend is not None else "numpy", workers=workers
         )
     classifier = create_classifier(name, **params)
 

@@ -20,9 +20,8 @@ Quickstart::
     with open_session(config) as session:
         result = session.run(reads)
 
-The lower-level entry points (``build_pipeline`` specs,
-``BatchSquiggleClassifier(run_config=...)``,
-``classify_batch(run_config=...)``) take the same config and make
+The lower-level entry points (``build_pipeline(config)``,
+``BatchSquiggleClassifier(run_config=...)``) take the same config and make
 bit-identical decisions.
 """
 

@@ -38,7 +38,7 @@ __all__ = ["RunConfig", "load_config_mapping", "resolve_auto"]
 # The built-in execution backends that take a worker count, and the
 # in-process ones that reject it; user-registered backends pass unchecked.
 _WORKER_BACKENDS = ("sharded", "colsharded")
-_IN_PROCESS_BACKENDS = ("numpy", "native")
+_IN_PROCESS_BACKENDS = ("numpy",)
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,13 @@ class RunConfig:
         in ``summary()``); ``trace_path`` additionally writes a Chrome
         trace-event / Perfetto JSON file when the session closes (and
         implies ``trace=True``). Tracing never changes decisions.
-    backend / workers / backend_options:
+    backend / workers:
         Execution backend for the batched engine (any name in
         :func:`repro.batch.available_backends`, or ``"auto"`` for the fixed
         rule of :func:`resolve_auto`). ``workers`` sizes the multi-process
-        pools (default: one per usable core, capped at 8);
-        ``backend_options`` passes anything else straight to the backend
-        factory. ``backend="auto"`` picks the backend and workers itself,
-        so it rejects a ``workers`` value.
+        pools (default: one per usable core, capped at 8).
+        ``backend="auto"`` picks the backend and workers itself, so it
+        rejects a ``workers`` value.
     prune / prune_margin:
         Pruning layer of the sDTW wavefront (early abandoning +
         active-column intervals). Off by default — brute force preserved
@@ -122,7 +121,6 @@ class RunConfig:
     trace_path: Optional[str] = None
     backend: str = "numpy"
     workers: Optional[int] = None
-    backend_options: Mapping[str, Any] = field(default_factory=dict)
     prune: bool = False
     prune_margin: float = 0.0
     lb_cascade: bool = False
@@ -133,7 +131,6 @@ class RunConfig:
 
         if self.targets is not None:
             object.__setattr__(self, "targets", dict(self.targets))
-        object.__setattr__(self, "backend_options", dict(self.backend_options))
         if isinstance(self.hardware, Mapping):
             object.__setattr__(self, "hardware", SDTWConfig(**self.hardware))
         specified = [
@@ -213,17 +210,6 @@ class RunConfig:
     def with_(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    def resolved_backend_options(self) -> Dict[str, Any]:
-        """The ``backend_options`` mapping the backend factory receives.
-
-        Folds the first-class ``workers`` field into the free-form options;
-        an explicit ``backend_options`` key wins.
-        """
-        options = dict(self.backend_options)
-        if self.workers is not None:
-            options.setdefault("workers", self.workers)
-        return options
 
     def resolve_panel(self, kmer_model: Any = None) -> Any:
         """Build (or coerce) the :class:`TargetPanel` this config aligns against."""

@@ -318,7 +318,7 @@ class ReadUntilSession:
             self._resolve_panel(),
             config=self.config.hardware,
             prefix_samples=self.config.prefix_samples,
-            run_config=self.config.with_(backend="numpy", workers=None, backend_options={}),
+            run_config=self.config.with_(backend="numpy", workers=None),
         ) as helper:
             self._threshold = helper.calibrate(
                 target_signals,

@@ -11,8 +11,7 @@ Prometheus-style ``/metrics`` expose per-round latency percentiles, lane
 occupancy, per-target accept counts and pool queue depth; shutdown drains
 gracefully through the hardened worker-pool teardown.
 
-The transport is dependency-free (stdlib asyncio HTTP); FastAPI mounts the
-same handlers when installed (:func:`create_fastapi_app`). Decisions served
+The transport is dependency-free (stdlib asyncio HTTP). Decisions served
 over the wire are bit-identical to local :func:`~repro.runtime.open_session`
 runs — the property ``benchmarks/bench_serve.py`` asserts under concurrent
 load.
@@ -36,7 +35,6 @@ from repro.serve.app import (
     Response,
     ServeApp,
     ServeServer,
-    create_fastapi_app,
     serve_forever,
     start_server,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "ServeServer",
     "SessionManager",
     "UnknownSessionError",
-    "create_fastapi_app",
     "serve_forever",
     "start_server",
 ]

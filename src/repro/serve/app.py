@@ -2,15 +2,9 @@
 
 The request handling is framework-neutral: :class:`ServeApp` maps
 ``(method, path, json body)`` to a :class:`Response`, independent of any web
-framework. Two transports expose it:
-
-* the **stdlib transport** (:class:`ServeServer`, built on
-  ``asyncio.start_server`` with a minimal HTTP/1.1 keep-alive parser) — the
-  default, so the service and its tier-1 tests need no packages beyond the
-  standard library;
-* an optional **FastAPI adapter** (:func:`create_fastapi_app`) that mounts
-  the same handlers on a FastAPI application when the package is installed
-  (for deployments that want its middleware/OpenAPI ecosystem).
+framework. The transport is :class:`ServeServer`, built on
+``asyncio.start_server`` with a minimal HTTP/1.1 keep-alive parser, so the
+service and its tests need no packages beyond the standard library.
 
 Routes::
 
@@ -56,7 +50,6 @@ __all__ = [
     "Response",
     "ServeApp",
     "ServeServer",
-    "create_fastapi_app",
     "serve_forever",
     "start_server",
 ]
@@ -491,41 +484,3 @@ class BackgroundServer:
             self._loop.call_soon_threadsafe(self.server.request_shutdown)
         if self._thread is not None:
             self._thread.join(timeout=60)
-
-
-# ----------------------------------------------------------- fastapi adapter
-def create_fastapi_app(server: Optional[ServeServer] = None, **server_kwargs: Any):
-    """Mount the service on a FastAPI application (optional dependency).
-
-    Raises :class:`RuntimeError` with an install hint when FastAPI is not
-    importable — the stdlib transport (:func:`start_server` /
-    :func:`serve_forever`) covers every feature without it.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import Response as FastAPIResponse
-    except ImportError:
-        raise RuntimeError(
-            "create_fastapi_app needs FastAPI (pip install fastapi); the "
-            "stdlib transport repro.serve.start_server works without it"
-        ) from None
-
-    serve = server if server is not None else ServeServer(**server_kwargs)
-    api = FastAPI(title="repro.serve", version="1")
-
-    @api.api_route(
-        "/{path:path}", methods=["GET", "POST", "DELETE", "PUT", "PATCH"]
-    )
-    async def _dispatch(path: str, request: Request) -> FastAPIResponse:
-        body = await request.body()
-        response = await serve.app.handle(request.method, "/" + path, body)
-        payload, content_type = response.payload()
-        return FastAPIResponse(
-            content=payload,
-            status_code=response.status,
-            media_type=content_type,
-            headers=response.headers,
-        )
-
-    api.state.serve_server = serve
-    return api

@@ -7,9 +7,11 @@ lifecycle keyed by session id:
 * **create** validates the tenant's config through
   :meth:`RunConfig.from_dict` — service clients get exactly the same
   field-naming error messages as local users — optionally overlaying it on
-  the server's default config template; ``backend="auto"`` resolves as the
-  session opens (:func:`~repro.runtime.config.resolve_auto`), and the
-  descriptor reports the chosen point under ``auto``;
+  the server's default config template; a tenant's ``trace_path`` is
+  refused, so no tenant can make the server write a file;
+  ``backend="auto"`` resolves as the session opens
+  (:func:`~repro.runtime.config.resolve_auto`), and the descriptor reports
+  the chosen point under ``auto``;
 * **submit-round** deserializes the tenant's chunk payload, serializes
   rounds per session with an :class:`asyncio.Lock` (sessions are
   single-writer; the lock queues HTTP clients politely where the session
@@ -200,7 +202,9 @@ class SessionManager:
         """Overlay a tenant's config on the server template and validate it.
 
         Raises :class:`ValueError` with the standard ``RunConfig`` messages
-        (every error names the offending field) on anything invalid.
+        (every error names the offending field) on anything invalid. A
+        tenant may not set ``trace_path``: the session would write a file
+        wherever it points when it closes.
         """
         merged: Dict[str, Any] = dict(self.default_config or {})
         if config is not None:
@@ -208,6 +212,11 @@ class SessionManager:
                 raise ValueError(
                     f"config: expected a mapping of RunConfig fields, got "
                     f"{type(config).__name__}"
+                )
+            if config.get("trace_path") is not None:
+                raise ValueError(
+                    "trace_path: a tenant may not make the server write files; "
+                    "read phase timings from /metrics or the session summary"
                 )
             merged.update(config)
         if not merged:

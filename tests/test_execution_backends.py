@@ -23,8 +23,7 @@ from repro.batch.backends import (
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
-from repro.core.filter import MultiStageSquiggleFilter, SquiggleFilter
-from repro.core.sdtw import sdtw_resume
+from repro.core.sdtw import int32_data_path, sdtw_resume
 from repro.hardware.scheduler import TileScheduler
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
@@ -186,32 +185,36 @@ class TestBackendBitIdentity:
                 assert np.array_equal(state.row, scalar[lane].row)
                 assert state.samples_processed == scalar[lane].samples_processed
 
-    def test_filter_classify_batch_backend_parameter(
-        self, reference_squiggle, target_signals, nontarget_signals
+    @pytest.mark.parametrize("backend,options", [*BACKENDS, ("colsharded", {"workers": 2})])
+    def test_bonus_credit_beyond_int32_rule_identical_on_every_backend(
+        self, backend, options, rng
     ):
-        """SquiggleFilter.classify_batch(run_config=...) changes execution only."""
-        squiggle_filter = SquiggleFilter(reference_squiggle, prefix_samples=500)
-        signals = list(target_signals) + list(nontarget_signals)
-        sharded = RunConfig(backend="sharded", workers=2)
-        numpy_decisions = squiggle_filter.classify_batch(signals, threshold=1e12)
-        sharded_decisions = squiggle_filter.classify_batch(
-            signals, threshold=1e12, run_config=sharded
+        """A capped bonus credit of 2**29 is off the int32 data path for the
+        kernel and for shared-memory storage alike, so rows far beyond int32
+        advance exactly on every backend."""
+        config = SDTWConfig(
+            quantize=True,
+            distance="absolute",
+            allow_reference_deletions=False,
+            match_bonus=2**27,
+            match_bonus_cap=4,
         )
-        assert sharded_decisions == numpy_decisions
-        assert squiggle_filter.cost_batch(
-            signals, run_config=sharded
-        ) == squiggle_filter.cost_batch(signals)
-
-    def test_multistage_classify_batch_backend_parameter(
-        self, reference_squiggle, target_signals, nontarget_signals
-    ):
-        multistage = MultiStageSquiggleFilter.calibrated(
-            reference_squiggle, target_signals, nontarget_signals, prefix_lengths=(300, 600)
-        )
-        signals = list(target_signals) + list(nontarget_signals)
-        assert multistage.classify_batch(
-            signals, run_config=RunConfig(backend="sharded", workers=2)
-        ) == multistage.classify_batch(signals)
+        assert int32_data_path(SDTWConfig.hardware()) and not int32_data_path(config)
+        reference = rng.integers(-127, 128, 80)
+        queries = [rng.integers(-127, 128, n) for n in (5, 17, 31)]
+        with make_engine(reference, config, backend=backend, options=options) as engine:
+            scalar = [None] * len(queries)
+            for start in range(0, 31, 11):
+                items = [(lane, query[start : start + 11]) for lane, query in enumerate(queries)]
+                snaps = engine.step(items)
+                for lane, chunk in items:
+                    if chunk.size:
+                        scalar[lane] = sdtw_resume(chunk, reference, config, state=scalar[lane])
+                    assert snaps[lane].cost == scalar[lane].cost
+                    assert snaps[lane].end_position == scalar[lane].end_position
+            for lane in range(len(queries)):
+                assert np.array_equal(engine.state_of(lane).row, scalar[lane].row)
+            assert min(scalar[lane].cost for lane in range(len(queries))) < -(2**31)
 
 
 # ----------------------------------------------------------------- lane churn
@@ -474,7 +477,7 @@ class TestShardedPipeline:
                 reference_squiggle,
                 threshold=backend_threshold,
                 prefix_samples=800,
-                run_config=RunConfig(backend=backend, backend_options=options or {}),
+                run_config=RunConfig(backend=backend, **(options or {})),
             ) as classifier:
                 result = ReadUntilPipeline(
                     classifier,
@@ -504,7 +507,6 @@ class TestShardedPipeline:
         brute-force numpy run (accepted reads keep their exact cost; ejected
         reads may report a stale above-threshold cost, so only the decision
         and sample count are compared there)."""
-        from repro.batch.native import numba_available
 
         def run_flowcell(classifier):
             result = ReadUntilPipeline(
@@ -536,12 +538,6 @@ class TestShardedPipeline:
             ("sharded", {"workers": 2}),
             ("colsharded", {"workers": 2}),
         ]
-        if numba_available():
-            # The compiled scalar kernel is CI-only; without Numba the
-            # native backend is covered by the jit=False property harness
-            # in test_sdtw_pruning.py (the pure-Python kernel is too slow
-            # for a full flowcell replay).
-            pruned_backends.append(("native", {}))
         for backend, fields in pruned_backends:
             config = RunConfig(
                 reference=reference_squiggle,
@@ -571,7 +567,7 @@ class TestShardedPipeline:
                 },
                 "target_genome": target_genome,
                 "backend": "sharded",
-                "backend_options": {"workers": 2},
+                "workers": 2,
                 "batch": True,
                 "assemble": False,
             }

@@ -60,7 +60,7 @@ class TestRunConfigValidation:
             (dict(backend="sharded", workers=-3), "workers"),
             (dict(backend="numpy", workers=2), "workers"),
             (dict(backend="gpu"), "backend"),
-            (dict(backend="native", workers=2), "workers"),
+            (dict(backend="native"), "backend"),
             (dict(backend="auto", workers=2), "workers"),
             (dict(prefix_samples=0), "prefix_samples"),
             (dict(chunk_samples=-1), "chunk_samples"),
@@ -89,10 +89,6 @@ class TestRunConfigValidation:
 
     def test_backend_name_normalized(self):
         assert RunConfig(backend="NumPy").backend == "numpy"
-
-    def test_resolved_backend_options_fold_sizing_fields(self):
-        config = RunConfig(backend="sharded", workers=3, backend_options={"extra": 1})
-        assert config.resolved_backend_options() == {"workers": 3, "extra": 1}
 
     def test_auto_backend_validates(self):
         assert RunConfig(genome="ACGT" * 100, backend="auto").backend == "auto"
@@ -134,6 +130,8 @@ class TestRunConfigSerialization:
             RunConfig.from_dict({"tune_budget_s": 2.0})
         with pytest.raises(ValueError, match="^tune: "):
             RunConfig.from_dict({"tune": {}})
+        with pytest.raises(ValueError, match="^backend_options: "):
+            RunConfig.from_dict({"backend_options": {"workers": 2}})
 
     def test_prebuilt_reference_not_serializable(self, reference_squiggle):
         config = RunConfig(reference=reference_squiggle)

@@ -1,4 +1,4 @@
-"""Tests for the lower-bound lane gate (``lb_cascade``) and the Cython kernel.
+"""Tests for the lower-bound lane gate (``lb_cascade``).
 
 The gate contract under test, on every registered backend: with
 ``prune=True`` and ``lb_cascade=True``, lanes whose cheapest admissible cost
@@ -13,8 +13,7 @@ provably exceeds their kill bound skip the backend dispatch entirely, and
 
 The cascade's admissibility is tested directly against the recurrence
 (bonus-free configs, where each query sample must add at least its envelope
-gap), and the optional Cython build of the native scalar kernel is pinned
-bit-identical to the pure-Python kernel whenever the extension is importable.
+gap).
 """
 
 import numpy as np
@@ -23,11 +22,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.batch.engine import BatchSDTWEngine
-from repro.batch.native import (
-    NativeBackend,
-    advance_scalar_kernel,
-    cython_kernel_available,
-)
 from repro.core.config import SDTWConfig
 from repro.core.panel import TargetPanel
 from repro.core.sdtw import (
@@ -398,36 +392,6 @@ class TestGateCounters:
         assert "backend.lb" in summary["phase_totals"]
 
 
-class TestNativeSpans:
-    def test_native_advance_emits_phase_spans(self, rng):
-        """Satellite contract: the native backend's scalar advance is traced
-        phase by phase, and the engine's gate span joins the same track."""
-        reference = rng.integers(-127, 128, 40)
-        tracer = Tracer(track="test")
-        with _gated_engine(
-            reference,
-            SDTWConfig.hardware(),
-            backend="native",
-            options={"jit": False},
-            prune_lifetime_samples=60,
-            tracer=tracer,
-        ) as engine:
-            engine.prune_bound = 1e9  # generous: every lane dispatches
-            for round_index in range(2):
-                engine.step([(0, rng.integers(-127, 128, 20))])
-        names = {record.name for record in tracer.records()}
-        assert {
-            "backend.advance",
-            "backend.gather",
-            "backend.wavefront",
-            "backend.scatter",
-            "backend.reduce",
-            "backend.lb",
-            "backend.prune",
-        } <= names
-        assert engine.lanes_lb_skipped == 0
-
-
 class TestValidation:
     def test_engine_validation(self, rng):
         reference = rng.integers(-127, 128, 30)
@@ -447,71 +411,3 @@ class TestValidation:
         restored = RunConfig.from_dict(config.to_dict())
         assert restored.lb_cascade is True
         assert restored.lb_level == 1
-
-    def test_native_kernel_option_validation(self, rng):
-        reference = rng.integers(-127, 128, 30)
-        with pytest.raises(ValueError, match="kernel"):
-            NativeBackend(reference, SDTWConfig.hardware(), kernel="fortran")
-        if not cython_kernel_available():
-            with pytest.raises(RuntimeError, match="Cython"):
-                NativeBackend(reference, SDTWConfig.hardware(), kernel="cython")
-
-
-def _kernel_args(rng, dtype, n_lanes=3, n_columns=40):
-    big = 2**29 if dtype == np.int32 else 2**40
-    rows = rng.integers(0, 400, (n_lanes, n_columns)).astype(dtype)
-    runs = rng.integers(1, 4, (n_lanes, n_columns)).astype(dtype)
-    lengths = [0, 7, 12]
-    query_flat = rng.integers(-127, 128, sum(lengths)).astype(dtype)
-    query_offsets = np.cumsum([0, *lengths]).astype(np.int64)
-    reference = rng.integers(-127, 128, n_columns).astype(dtype)
-    kill = np.array([np.inf, 900.0, 250.0])
-    fresh = np.array([False, True, False])
-    block_lo = np.array([0, 25], dtype=np.int64)
-    block_hi = np.array([25, n_columns], dtype=np.int64)
-    return [rows, runs, query_flat, query_offsets, reference, 2, 3, kill, fresh,
-            block_lo, block_hi, big]
-
-
-@pytest.mark.skipif(
-    not cython_kernel_available(), reason="Cython kernel extension not built"
-)
-class TestCythonKernel:
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_compiled_kernel_matches_pure_python(self, rng, dtype):
-        """Both working dtypes: the AOT extension mutates identical state and
-        reports identical cell counts (mid-round breaks, fresh init, per-block
-        spans and all)."""
-        from repro.batch import _native_kernel
-
-        args = _kernel_args(rng, dtype)
-        pure = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
-        compiled = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
-        pure_cells = advance_scalar_kernel(*pure)
-        compiled_cells = _native_kernel.advance_scalar_kernel(*compiled)
-        assert pure_cells == compiled_cells
-        assert np.array_equal(pure[0], compiled[0])  # rows
-        assert np.array_equal(pure[1], compiled[1])  # runs
-
-    def test_engine_with_cython_kernel_matches_python_kernel(self, rng):
-        reference = rng.integers(-127, 128, 50)
-        config = SDTWConfig.hardware()
-        queries = [rng.integers(-127, 128, n) for n in (9, 23, 40)]
-        results = {}
-        for kernel_options in ({"kernel": "cython"}, {"jit": False}):
-            with BatchSDTWEngine(
-                reference, config, backend="native", backend_options=kernel_options
-            ) as engine:
-                for start in range(0, 40, 13):
-                    engine.step(
-                        [
-                            (lane, query[start : start + 13])
-                            for lane, query in enumerate(queries)
-                        ]
-                    )
-                results[tuple(kernel_options)] = [
-                    np.copy(engine.state_of(lane).row) for lane in range(len(queries))
-                ]
-        cython_rows, python_rows = results.values()
-        for lane in range(len(queries)):
-            assert np.array_equal(cython_rows[lane], python_rows[lane])

@@ -1,4 +1,4 @@
-"""Tests for the pruned sDTW wavefront and the ``native`` backend.
+"""Tests for the pruned sDTW wavefront.
 
 The pruning exactness contract under test, on every registered backend:
 with ``prune=True`` and a decision bound ``B = prune_bound + prune_margin``,
@@ -9,11 +9,6 @@ with ``prune=True`` and a decision bound ``B = prune_bound + prune_margin``,
 * costs above ``B`` may be stale in either direction — frozen columns keep
   their last exact value, which can undercut the brute-force minimum — but
   can never falsely dip to or below ``B``.
-
-The ``native`` backend is additionally pinned to the vectorized kernels:
-always registered, RuntimeError with an install hint when Numba is missing,
-and ``jit=False`` runs the identical scalar kernel as pure Python so the
-bit-identity harness covers it on machines without Numba.
 """
 
 import numpy as np
@@ -21,9 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batch.backends import available_backends, create_backend
 from repro.batch.engine import BatchSDTWEngine
-from repro.batch.native import NativeBackend, cython_kernel_available, numba_available
 from repro.core.config import SDTWConfig
 from repro.core.panel import TargetPanel
 from repro.core.sdtw import sdtw_resume
@@ -31,13 +24,11 @@ from repro.obs.trace import Tracer
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.read_until_api import SignalChunk
 
-# Every registered backend, in host-executable form: "native" runs its
-# scalar kernel as pure Python when Numba is absent.
+# Every registered backend.
 PRUNE_BACKENDS = [
     ("numpy", None),
     ("sharded", {"workers": 2}),
     ("colsharded", {"workers": 2}),
-    ("native", {"jit": False}),
 ]
 
 _PRUNE_REFERENCE = np.random.default_rng(20260807).integers(-127, 128, 60)
@@ -366,94 +357,3 @@ class TestPruneCounters:
         assert (
             sum(span.args["cells_advanced"] for span in spans) == engine.cells_advanced
         )
-
-
-class TestNativeBackend:
-    def test_native_registered_even_without_numba(self, rng):
-        """The 'native' name always validates; with no compiled kernel build
-        construction raises a RuntimeError carrying an install hint, not a
-        KeyError."""
-        assert "native" in available_backends()
-        if numba_available() or cython_kernel_available():
-            pytest.skip(
-                "a compiled kernel is available; the unavailable-library path cannot fire"
-            )
-        with pytest.raises(RuntimeError, match="numba"):
-            create_backend("native", rng.integers(-127, 128, 30), SDTWConfig.hardware(), 4)
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            SDTWConfig.hardware(),
-            SDTWConfig(
-                distance="absolute",
-                allow_reference_deletions=False,
-                quantize=True,
-                match_bonus=0.0,
-            ),
-            # Non-integer configs fall back to the vectorized numpy advance.
-            SDTWConfig(
-                distance="squared",
-                allow_reference_deletions=False,
-                quantize=False,
-                match_bonus=0.0,
-            ),
-        ],
-    )
-    def test_native_unpruned_matches_scalar(self, config, rng):
-        reference = (
-            rng.integers(-127, 128, 50) if config.quantize else rng.normal(size=50)
-        )
-        queries = [
-            rng.integers(-127, 128, n).astype(np.float64)
-            if not config.quantize
-            else rng.integers(-127, 128, n)
-            for n in (7, 19, 33)
-        ]
-        with BatchSDTWEngine(
-            reference, config, backend="native", backend_options={"jit": False}
-        ) as engine:
-            scalar = [None] * len(queries)
-            for start in range(0, 33, 11):
-                items = []
-                for lane, query in enumerate(queries):
-                    chunk = query[start : start + 11]
-                    items.append((lane, chunk))
-                    if chunk.size:
-                        scalar[lane] = sdtw_resume(
-                            chunk, reference, config, state=scalar[lane]
-                        )
-                engine.step(items)
-            for lane in range(len(queries)):
-                state = engine.state_of(lane)
-                assert np.array_equal(state.row, scalar[lane].row), config
-                assert state.samples_processed == scalar[lane].samples_processed
-
-    def test_native_jit_false_runs_pure_python(self, rng):
-        backend = NativeBackend(
-            rng.integers(-127, 128, 30), SDTWConfig.hardware(), capacity=2, jit=False
-        )
-        assert backend.backend_name == "native"
-        costs, ends = backend.advance(
-            np.array([0]), [rng.integers(-127, 128, 12)]
-        )
-        assert costs.shape == (1, 1)
-        assert backend.stats.cells_advanced == 12 * 30
-
-    @pytest.mark.skipif(not numba_available(), reason="Numba not installed")
-    def test_native_jit_matches_scalar(self, rng):
-        """The compiled kernel (CI installs Numba) is bit-identical too."""
-        reference = rng.integers(-127, 128, 50)
-        config = SDTWConfig.hardware()
-        query = rng.integers(-127, 128, 60)
-        with BatchSDTWEngine(reference, config, backend="native") as engine:
-            snap = engine.step([(0, query)])[0]
-        expected = sdtw_resume(query, reference, config)
-        assert snap.cost == expected.cost
-        assert snap.end_position == expected.end_position
-
-    def test_run_config_accepts_native_backend(self):
-        config = RunConfig(genome="ACGT" * 30, backend="native")
-        assert config.backend == "native"
-        with pytest.raises(ValueError, match="workers"):
-            RunConfig(genome="ACGT" * 30, backend="native", workers=2)

@@ -383,6 +383,20 @@ class TestHttpEndToEnd:
         assert "read_id" in excinfo.value.message
         serve_client.close_session(session_id)
 
+    def test_tenant_trace_path_gets_400_and_writes_no_file(self, serve_client, tmp_path):
+        target = tmp_path / "tenant-trace.json"
+        open_before = len(serve_client.list_sessions())
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.create_session(service_config(trace_path=str(target)))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("trace_path")
+        assert len(serve_client.list_sessions()) == open_before
+        # A serialized RunConfig carries trace_path=None, which is accepted.
+        session_id = serve_client.create_session(RunConfig(**service_config()))
+        serve_client.submit_round(session_id, [wire_chunk("r0")])
+        serve_client.close_session(session_id)
+        assert not target.exists()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_samples_get_400_and_the_session_keeps_deciding(
         self, serve_client, bad
@@ -641,16 +655,3 @@ class TestServeCli:
         path.write_text(json.dumps({"backend": "tpu"}))
         assert main(["serve", "--config", str(path)]) == 2
         assert "backend" in capsys.readouterr().err
-
-    def test_fastapi_adapter_gates_cleanly_when_absent(self):
-        pytest.importorskip  # documented gate: only assert the error path
-        try:
-            import fastapi  # noqa: F401
-
-            pytest.skip("FastAPI installed; the gate path is not reachable")
-        except ImportError:
-            pass
-        from repro.serve import create_fastapi_app
-
-        with pytest.raises(RuntimeError, match="fastapi"):
-            create_fastapi_app()

@@ -361,18 +361,12 @@ class TestPanelFilter:
         assert decision.target == squiggle_filter.panel.names[
             int(np.argmin(decision.target_costs))
         ]
-        # Scalar path and each batched backend agree field for field.
+        # Scalar and batched paths agree field for field.
         alignments = squiggle_filter.target_alignments(signal, 400)
         assert decision.target_costs == tuple(
             alignments[name].cost for name in squiggle_filter.panel.names
         )
-        for backend, options in PANEL_BACKENDS:
-            batch = squiggle_filter.classify_batch(
-                [signal],
-                threshold=1e12,
-                run_config=RunConfig(backend=backend, backend_options=options or {}),
-            )
-            assert batch == [decision], backend
+        assert squiggle_filter.classify_batch([signal], threshold=1e12) == [decision]
 
     def test_panel_end_positions_are_target_local(self, kmer_model, rng):
         genomes = {"a": random_genome(300, seed=41), "b": random_genome(200, seed=42)}
@@ -515,7 +509,7 @@ class TestPanelPipeline:
                 panel,
                 threshold=threshold,
                 prefix_samples=500,
-                run_config=RunConfig(backend=backend, backend_options=options or {}),
+                run_config=RunConfig(backend=backend, **(options or {})),
             ) as classifier:
                 result = ReadUntilPipeline(
                     classifier,
