@@ -124,6 +124,10 @@ class ExecutionBackend(Protocol):
     # the engine reads (and a fresh instance resets) these for telemetry.
     stats: AdvanceStats
 
+    # Observability hook: the engine hands the backend its tracer, so advance
+    # phases land on the engine's timeline.
+    tracer: Tracer
+
     @property
     def capacity(self) -> int:
         """Lanes currently allocated."""
@@ -164,9 +168,7 @@ class ExecutionBackend(Protocol):
         single-reference runs. The backend updates its resident
         rows/runs/samples in place. ``prune_bounds`` (one kill threshold per
         listed lane, ``inf`` = never prune) engages the kernel's pruning
-        layer; the engine only passes it to backends when pruning is
-        enabled, so implementations ignoring the kwarg stay compatible with
-        unpruned runs.
+        layer; it is ``None`` when pruning is off.
         """
         ...
 
@@ -308,7 +310,7 @@ class NumpyBackend:
 
     def reset(self, lanes: np.ndarray) -> None:
         self._state.rows[lanes] = 0
-        self._state.runs[lanes] = 1
+        self._state.runs[lanes] = 0
         self._state.samples_processed[lanes] = 0
 
     def advance(
@@ -325,15 +327,12 @@ class NumpyBackend:
                     runs=self._state.runs[lanes],
                     samples_processed=self._state.samples_processed[lanes],
                 )
-            # track_runs=False: the engine never reads raw dwell counters, and the
-            # capped counters the fast path keeps are lossless for resumption.
             with tracer.span("backend.wavefront"):
                 advanced = sdtw_resume_batch(
                     queries,
                     self.reference_values,
                     self.config,
                     state=gathered,
-                    track_runs=False,
                     block_starts=self.block_starts,
                     prune_bounds=prune_bounds,
                     stats=self.stats,
@@ -422,10 +421,10 @@ class _ShardViews:
         )
 
     def initialize(self, lanes: Optional[np.ndarray] = None) -> None:
-        """Fresh-lane state: zero rows/samples, unit runs."""
+        """The free start: zero rows, runs and samples."""
         target = slice(None) if lanes is None else lanes
         self.rows[target] = 0
-        self.runs[target] = 1
+        self.runs[target] = 0
         self.samples[target] = 0
 
     def release(self) -> None:
@@ -491,7 +490,6 @@ def _shard_worker(
                         reference,
                         config,
                         state=state,
-                        track_runs=False,
                         block_starts=block_starts,
                         prune_bounds=bounds,
                         stats=stats,
@@ -922,7 +920,6 @@ def _column_worker(
                         reference[halo_start:tile_end],
                         config,
                         state=state,
-                        track_runs=False,
                         block_starts=sub_starts,
                         prune_bounds=bounds,
                         stats=stats,

@@ -29,7 +29,7 @@ from repro.core.reference import ReferenceSquiggle
 from repro.core.thresholds import choose_threshold
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pipeline.api import ACCEPT, DEFAULT_HARDWARE_LATENCY_S, EJECT, Action
-from repro.sequencer.read_until_api import SignalChunk, check_finite_chunks
+from repro.sequencer.read_until_api import SignalChunk, check_round_chunks
 
 if TYPE_CHECKING:  # duck-typed at runtime; avoids a hard runtime dependency
     from repro.runtime.config import RunConfig
@@ -103,7 +103,6 @@ class BatchSquiggleClassifier:
         prune = bool(run_config.prune) if run_config is not None else False
         prune_margin = float(run_config.prune_margin) if run_config is not None else 0.0
         lb_cascade = bool(run_config.lb_cascade) if run_config is not None else False
-        lb_level = int(run_config.lb_level) if run_config is not None else 2
         self.engine = BatchSDTWEngine(
             self.panel,
             self.config,
@@ -114,7 +113,6 @@ class BatchSquiggleClassifier:
             prune_margin=prune_margin,
             prune_lifetime_samples=self.prefix_samples if prune else None,
             lb_cascade=lb_cascade,
-            lb_level=lb_level,
         )
         self.name = name if name is not None else f"batch:SquiggleFilter[{self.engine.backend_name}]"
         self.decision_latency_s = (
@@ -161,14 +159,16 @@ class BatchSquiggleClassifier:
     def on_chunk_batch(self, chunks: Sequence[SignalChunk]) -> List[Action]:
         """Classify one polling round: a single wavefront across all chunks.
 
-        A chunk holding a NaN or infinite sample raises :class:`ValueError`
-        naming its read before any lane of the round is admitted.
+        A malformed round — a chunk whose signal is not 1-D or holds a NaN
+        or infinite sample, or a read with two chunks — raises
+        :class:`ValueError` naming the read before any lane of the round is
+        admitted.
         """
         if self.threshold is None:
             raise ValueError(
                 "no threshold configured; call calibrate() or pass threshold explicitly"
             )
-        check_finite_chunks(chunks)
+        check_round_chunks(chunks)
         # The eject threshold is the decision bound the pruning layer
         # protects; stamped every round because calibrate() may run after
         # construction (the engine's kill-bound envelope keeps per-lane

@@ -152,11 +152,6 @@ class BatchSDTWEngine:
         same exactness contract as ``prune`` holds: decisions and every
         cost at or below ``prune_bound + prune_margin`` stay
         bit-identical to brute force.
-    lb_level:
-        Deepest cascade rung to evaluate: ``1`` stops at the O(1)
-        LB_Kim-style bound, ``2`` (default) additionally runs the
-        O(chunk) per-block envelope bound on lanes the first rung could
-        not kill.
     """
 
     def __init__(
@@ -171,7 +166,6 @@ class BatchSDTWEngine:
         prune_margin: float = 0.0,
         prune_lifetime_samples: Optional[int] = None,
         lb_cascade: bool = False,
-        lb_level: int = 2,
     ) -> None:
         self.tracer = tracer
         self.config = config if config is not None else SDTWConfig()
@@ -192,10 +186,6 @@ class BatchSDTWEngine:
                 "match bonus: the kill bounds must budget the maximum bonus "
                 "credit the remaining samples could still earn"
             )
-        if lb_level not in (1, 2):
-            raise ValueError(
-                f"lb_level must be 1 (LB_Kim) or 2 (LB_Kim + LB_Keogh), got {lb_level}"
-            )
         if lb_cascade and not prune:
             raise ValueError(
                 "lb_cascade requires prune=True: the lane gate compares lower "
@@ -204,7 +194,6 @@ class BatchSDTWEngine:
         self.prune = bool(prune)
         self.prune_margin = float(prune_margin)
         self.lb_cascade = bool(lb_cascade)
-        self.lb_level = int(lb_level)
         # Lane-rounds and nominal DP cells the gate skipped before dispatch.
         self.lanes_lb_skipped = 0
         self.cells_lb_skipped = 0
@@ -266,17 +255,14 @@ class BatchSDTWEngine:
                     f"backend holds a {backend.reference_length}-sample reference "
                     f"but the engine was given {self.reference_values.size} samples"
                 )
-            if getattr(backend, "n_blocks", 1) != n_targets:
+            if backend.n_blocks != n_targets:
                 raise ValueError(
-                    f"backend reduces {getattr(backend, 'n_blocks', 1)} panel blocks "
+                    f"backend reduces {backend.n_blocks} panel blocks "
                     f"but the engine serves {n_targets} targets"
                 )
             self._backend = backend
             self._owns_backend = False
-        # Every built-in backend exposes a `tracer` attribute; user-registered
-        # backends without one simply run untraced at the advance level.
-        if hasattr(self._backend, "tracer"):
-            self._backend.tracer = tracer
+        self._backend.tracer = tracer
         capacity = self._backend.capacity
         self._lane_of: Dict[Hashable, int] = {}
         self._free: List[int] = list(range(capacity - 1, -1, -1))
@@ -434,12 +420,12 @@ class BatchSDTWEngine:
 
         Runs the cascade per lane against its (min-clamped) kill bound: first
         the O(1) LB_Kim-style bound on top of the lane's cached row minimum,
-        then — for survivors, at :attr:`lb_level` 2 — the O(chunk) per-block
-        envelope bound on top of the cached per-target minima. A killed lane's
-        cached costs are clamped up to the violated bound (they provably
-        exceed the kill bound forever, so any reported value above it is
-        faithful) and its kill envelope drops to ``-inf``: stale-dead lanes
-        are skipped on sight every later round. Admissibility: every query
+        then — for survivors — the O(chunk) per-block envelope bound on top of
+        the cached per-target minima. A killed lane's cached costs are
+        clamped up to the violated bound (they provably exceed the kill bound
+        forever, so any reported value above it is faithful) and its kill
+        envelope drops to ``-inf``: stale-dead lanes are skipped on sight
+        every later round. Admissibility: every query
         sample adds at least its envelope gap, block boundaries confine paths
         to one block, and the kill bound already credits the maximum match
         bonus the lane's remaining lifetime could harvest.
@@ -461,16 +447,13 @@ class BatchSDTWEngine:
                     lane = lanes[index]
                     np.maximum(self._costs[lane], kim, out=self._costs[lane])
                     continue
-                if self.lb_level >= 2:
-                    per_block = lane_costs[index] + lb_keogh_bounds(
-                        queries[index], self._lb_lows, self._lb_highs, self.config
-                    )
-                    if float(per_block.min()) > bound:
-                        keep[index] = False
-                        lane = lanes[index]
-                        np.maximum(
-                            self._costs[lane], per_block, out=self._costs[lane]
-                        )
+                per_block = lane_costs[index] + lb_keogh_bounds(
+                    queries[index], self._lb_lows, self._lb_highs, self.config
+                )
+                if float(per_block.min()) > bound:
+                    keep[index] = False
+                    lane = lanes[index]
+                    np.maximum(self._costs[lane], per_block, out=self._costs[lane])
         skipped = np.flatnonzero(~keep)
         if skipped.size:
             self._kill_envelope[lanes[skipped]] = -np.inf
@@ -483,14 +466,12 @@ class BatchSDTWEngine:
     @property
     def cells_advanced(self) -> int:
         """DP cells the backend actually swept (all rounds so far)."""
-        stats = getattr(self._backend, "stats", None)
-        return 0 if stats is None else int(stats.cells_advanced)
+        return int(self._backend.stats.cells_advanced)
 
     @property
     def cells_pruned(self) -> int:
         """DP cells the pruning layer skipped (all rounds so far)."""
-        stats = getattr(self._backend, "stats", None)
-        return 0 if stats is None else int(stats.cells_pruned)
+        return int(self._backend.stats.cells_pruned)
 
     # ------------------------------------------------------------------- step
     def step(
@@ -538,7 +519,6 @@ class BatchSDTWEngine:
                         "backend.lb",
                         lanes_skipped=self.lanes_lb_skipped - lb_before[0],
                         cells_skipped=self.cells_lb_skipped - lb_before[1],
-                        level=self.lb_level,
                     ):
                         pass
                 if not keep.all():
@@ -551,28 +531,18 @@ class BatchSDTWEngine:
             else:
                 live_lanes, live_queries, live_bounds = lanes, queries, bounds
             if live_lanes.size:
-                if live_bounds is None:
-                    # Positional call keeps user-registered backends that
-                    # predate the prune_bounds keyword working for unpruned
-                    # runs.
-                    costs, ends = self._backend.advance(live_lanes, live_queries)
-                else:
-                    stats = getattr(self._backend, "stats", None)
-                    before = (
-                        (stats.cells_advanced, stats.cells_pruned)
-                        if stats is not None
-                        else (0, 0)
-                    )
-                    costs, ends = self._backend.advance(
-                        live_lanes, live_queries, prune_bounds=live_bounds
-                    )
-                    if self.tracer.enabled and stats is not None:
-                        with self.tracer.span(
-                            "backend.prune",
-                            cells_advanced=stats.cells_advanced - before[0],
-                            cells_pruned=stats.cells_pruned - before[1],
-                        ):
-                            pass
+                stats = self._backend.stats
+                before = (stats.cells_advanced, stats.cells_pruned)
+                costs, ends = self._backend.advance(
+                    live_lanes, live_queries, prune_bounds=live_bounds
+                )
+                if self.tracer.enabled and live_bounds is not None:
+                    with self.tracer.span(
+                        "backend.prune",
+                        cells_advanced=stats.cells_advanced - before[0],
+                        cells_pruned=stats.cells_pruned - before[1],
+                    ):
+                        pass
                 self._costs[live_lanes] = costs
                 self._ends[live_lanes] = ends
             # Skipped lanes still consume their samples logically: decision

@@ -20,11 +20,10 @@ Eight subcommands cover the library's main workflows without writing Python:
   :func:`repro.batch.available_backends`, with ``--workers N`` for the
   multi-process backends) picks the execution backend, ``--prune`` (with ``--prune-margin``)
   turns on the early-abandoning sDTW pruning layer (decisions stay
-  bit-identical), ``--lb-cascade`` (with ``--lb-level``) adds the
-  lower-bound lane gate on top of it, and ``--target-panel N`` screens N
-  synthesized viral targets at once through one
-  :class:`~repro.core.panel.TargetPanel`, reporting per-target accept
-  counts. The squigglefilter-family session itself is driven through
+  bit-identical), ``--lb-cascade`` adds the lower-bound lane gate on top of
+  it, and ``--target-panel N`` screens N synthesized viral targets at once
+  through one :class:`~repro.core.panel.TargetPanel`, reporting per-target
+  accept counts. The squigglefilter-family session itself is driven through
   :func:`repro.runtime.open_session` — the same code path the examples and
   benchmarks use.
 * ``config-dump``       — print the fully resolved :class:`RunConfig`
@@ -162,16 +161,6 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         "could decide differently (decisions stay bit-identical)",
     )
     parser.add_argument(
-        "--lb-level",
-        dest="lb_level",
-        type=int,
-        choices=(1, 2),
-        default=None,
-        help="deepest lower-bound cascade rung: 1 = the O(1) extrema bound "
-        "only, 2 = additionally the O(chunk) per-target envelope bound "
-        "(default: 2)",
-    )
-    parser.add_argument(
         "--prefix-samples",
         type=int,
         default=None,
@@ -204,7 +193,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         "prune": args.prune,
         "prune_margin": args.prune_margin,
         "lb_cascade": args.lb_cascade,
-        "lb_level": args.lb_level,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -531,7 +519,6 @@ def _command_read_until(args: argparse.Namespace) -> int:
         ("--prune", args.prune),
         ("--prune-margin", args.prune_margin),
         ("--lb-cascade", args.lb_cascade),
-        ("--lb-level", args.lb_level),
     ):
         if given and args.classifier not in squigglefilter_family:
             print(

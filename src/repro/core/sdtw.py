@@ -5,17 +5,21 @@ contiguous region of the reference squiggle: the first query sample may start
 at any reference position for free, and the answer is the minimum value of
 the last DP row.
 
-Three kernels are provided, all computing identical costs for their
-configuration:
+The kernels, all computing identical costs for their configuration:
 
 * :func:`sdtw_cost_matrix` — a direct, loop-based implementation returning
   the full DP matrix (and optionally the alignment path). Used for tests and
   for visualizing small alignments; quadratic memory.
-* :func:`sdtw_last_row` / :func:`sdtw_cost` — row-vectorized NumPy kernels
-  holding only two rows. The vanilla recurrence's in-row dependency
-  (``S[i, j-1]``) is resolved exactly with a prefix-minimum transformation,
-  so both the vanilla and the hardware ("no reference deletions") recurrences
-  are O(N) NumPy operations per query sample.
+* :func:`sdtw_resume` — the hardware ("no reference deletions") recurrence,
+  row-vectorized and resumable: the oracle every fast path is checked
+  against. A fresh alignment is the *free-start* state, an all-zero row with
+  zero dwell, so every query sample — the first one included — runs through
+  the same step; continuing from a stored row is the paper's multi-stage
+  filtering (Section 5.1, "Variable Query Length").
+* :func:`sdtw_last_row` / :func:`sdtw_cost` — the last row and its minimum:
+  :func:`sdtw_resume` for the hardware recurrences, and for the vanilla one
+  a two-row kernel that resolves the in-row dependency (``S[i, j-1]``)
+  exactly with a prefix-minimum transformation.
 
 The hardware accelerator model in :mod:`repro.hardware` reuses the integer
 kernel so the systolic array is bit-compatible with the software filter.
@@ -157,12 +161,10 @@ def sdtw_last_row(
     the reference position where the best alignment ends.
     """
     cfg = config if config is not None else SDTWConfig()
+    if not cfg.allow_reference_deletions:
+        return sdtw_resume(query, reference, cfg).row
     query_values, reference_values = _as_kernel_arrays(query, reference, cfg)
-    if cfg.allow_reference_deletions:
-        return _last_row_with_deletions(query_values, reference_values, cfg)
-    if cfg.uses_bonus:
-        return _last_row_no_deletions_bonus(query_values, reference_values, cfg)
-    return _last_row_no_deletions(query_values, reference_values, cfg)
+    return _last_row_with_deletions(query_values, reference_values, cfg)
 
 
 def _state_dtype(config: SDTWConfig):
@@ -413,9 +415,11 @@ class BatchSDTWState:
 
     ``rows`` is the ``(n_lanes, reference_length)`` matrix of last DP rows,
     ``runs`` the matching dwell counters and ``samples_processed`` the
-    per-lane query progress. A lane with ``samples_processed == 0`` has not
-    consumed any signal yet; its row content is meaningless until the first
-    call of :func:`sdtw_resume_batch` that feeds it samples.
+    per-lane query progress. Only ``min(runs, match_bonus_cap)`` is defined —
+    the one value the recurrence reads — and the ``int32`` path stores just
+    that. A lane with ``samples_processed == 0`` is at the free start (an
+    all-zero row with zero dwell): :meth:`initial` writes it, and
+    :func:`sdtw_resume_batch` enforces it whatever such a lane's row holds.
     """
 
     __slots__ = ("rows", "runs", "samples_processed")
@@ -444,7 +448,7 @@ class BatchSDTWState:
         reference_length: int,
         config: Optional[SDTWConfig] = None,
     ) -> "BatchSDTWState":
-        """A state of ``n_lanes`` lanes none of which has consumed samples."""
+        """``n_lanes`` lanes at the free start: zero rows, zero dwell, no samples."""
         cfg = config if config is not None else SDTWConfig()
         if n_lanes < 0:
             raise ValueError("n_lanes must be non-negative")
@@ -452,7 +456,7 @@ class BatchSDTWState:
             raise ValueError("reference_length must be positive")
         return cls(
             rows=np.zeros((n_lanes, reference_length), dtype=_state_dtype(cfg)),
-            runs=np.ones((n_lanes, reference_length), dtype=np.int64),
+            runs=np.zeros((n_lanes, reference_length), dtype=np.int64),
             samples_processed=np.zeros(n_lanes, dtype=np.int64),
         )
 
@@ -491,47 +495,45 @@ def sdtw_resume(
 ) -> SDTWState:
     """Process (more of) a query through the no-reference-deletion recurrence.
 
-    Called without ``state`` this is equivalent to :func:`sdtw_last_row` but
-    additionally returns a resumable :class:`SDTWState`; called with a state
-    it continues the alignment as if the new samples had been part of the
-    original query. Only the hardware recurrences (no reference deletions)
-    are resumable, mirroring the accelerator.
+    Without ``state`` (or from a state that has consumed no samples) the
+    alignment starts free: an all-zero previous row with zero dwell, so the
+    first sample's step leaves exactly its local distances, and the result's
+    row is :func:`sdtw_last_row`. With a state it continues the alignment
+    as if the new samples had been part of the original query. Only the
+    hardware recurrences (no reference deletions) are resumable, mirroring
+    the accelerator.
     """
     cfg = config if config is not None else SDTWConfig()
     if cfg.allow_reference_deletions:
         raise ValueError("sdtw_resume requires allow_reference_deletions=False")
     query_values, reference_values = _as_kernel_arrays(query, reference, cfg)
-    if query_values.size == 0:
-        raise ValueError("query must be non-empty")
 
     bonus = float(cfg.match_bonus)
     cap = cfg.match_bonus_cap
     accumulator = _accumulator_dtype(cfg)
     big = _big_for(accumulator)
 
-    if state is None:
-        previous = _local_distance(query_values[0], reference_values, cfg).astype(accumulator)
-        run = np.ones(reference_values.size, dtype=np.int64)
-        start_index = 1
-        processed = 1
+    if state is not None and state.row.size != reference_values.size:
+        raise ValueError(
+            f"state row length {state.row.size} does not match reference length {reference_values.size}"
+        )
+    if state is None or state.samples_processed == 0:
+        previous = np.zeros(reference_values.size, dtype=accumulator)
+        run = np.zeros(reference_values.size, dtype=np.int64)
+        processed = 0
     else:
-        if state.row.size != reference_values.size:
-            raise ValueError(
-                f"state row length {state.row.size} does not match reference length {reference_values.size}"
-            )
         previous = state.row.astype(accumulator)
         run = (
             state.run.copy()
             if state.run is not None
             else np.ones(reference_values.size, dtype=np.int64)
         )
-        start_index = 0
         processed = state.samples_processed
 
     cost_shift = np.empty_like(previous)
     run_shift = np.empty_like(run)
-    for i in range(start_index, query_values.size):
-        local = _local_distance(query_values[i], reference_values, cfg).astype(accumulator)
+    for value in query_values:
+        local = _local_distance(value, reference_values, cfg).astype(accumulator)
         cost_shift[0] = big
         cost_shift[1:] = previous[:-1]
         run_shift[0] = 0
@@ -540,13 +542,12 @@ def sdtw_resume(
         take_diagonal = diagonal < previous
         previous = local + np.where(take_diagonal, diagonal, previous)
         run = np.where(take_diagonal, 1, run + 1)
-        processed += 1
 
     if cfg.quantize and cfg.uses_bonus:
         row = np.rint(previous).astype(np.int64)
     else:
         row = previous
-    return SDTWState(row=row, run=run, samples_processed=processed)
+    return SDTWState(row=row, run=run, samples_processed=processed + query_values.size)
 
 
 def sdtw_resume_batch(
@@ -554,7 +555,6 @@ def sdtw_resume_batch(
     reference: np.ndarray,
     config: Optional[SDTWConfig] = None,
     state: Optional[BatchSDTWState] = None,
-    track_runs: bool = True,
     block_starts: Optional[np.ndarray] = None,
     prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
@@ -564,22 +564,21 @@ def sdtw_resume_batch(
     ``queries`` holds one (possibly ragged-length) array of new query samples
     per lane; lanes contributing no samples this round pass an empty array and
     their state flows through untouched. Each lane computes exactly the
-    no-reference-deletion recurrence of :func:`sdtw_resume`, so per-lane rows,
-    runs and costs are **bit-identical** to calling ``sdtw_resume`` once per
+    no-reference-deletion recurrence of :func:`sdtw_resume`, so per-lane rows
+    and costs are **bit-identical** to calling ``sdtw_resume`` once per
     lane — the batch kernel only restructures the Python-loop work into
     ``(lanes, reference)`` matrix operations, one set per wavefront step.
 
-    A lane whose ``state.samples_processed`` is zero is initialized from its
-    first sample, as a fresh ``sdtw_resume`` call would be. Returns a new
-    :class:`BatchSDTWState`; the input state is not mutated.
+    A lane whose ``state.samples_processed`` is zero starts from the free
+    start (an all-zero row with zero dwell), as a fresh ``sdtw_resume`` call
+    does, and its first sample runs through the same step as every other.
+    Returns a new :class:`BatchSDTWState`; the input state is not mutated.
 
-    With ``track_runs=False`` the kernel skips maintaining the raw dwell
-    counters and the returned state's ``runs`` hold the *capped* counters
-    ``min(run, match_bonus_cap)`` instead (or pass through unchanged when no
-    bonus is configured). The recurrence only ever consumes the capped value,
-    so rows, costs and resumption stay bit-identical — this is the execution
-    engine's hot-path mode, shaving the counter updates from every wavefront
-    step.
+    The returned ``runs`` are defined up to the cap: with a match bonus,
+    ``min(runs, match_bonus_cap)`` equals ``sdtw_resume``'s
+    ``min(run, match_bonus_cap)``, the only value the recurrence reads. The
+    ``int32`` path keeps just that capped counter (and, without a bonus,
+    leaves ``runs`` as they came in).
 
     Execution notes: lanes are processed in descending order of remaining
     samples so the active set of every wavefront step is a contiguous row
@@ -644,7 +643,6 @@ def sdtw_resume_batch(
         state.rows,
         state.runs,
         state.samples_processed,
-        track_runs=track_runs,
         block_starts=block_starts,
         prune_bounds=prune_bounds,
         stats=stats,
@@ -659,7 +657,6 @@ def _resume_batch_arrays(
     rows: np.ndarray,
     runs: np.ndarray,
     samples_processed: np.ndarray,
-    track_runs: bool = True,
     block_starts: Optional[np.ndarray] = None,
     prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
@@ -695,51 +692,39 @@ def _resume_batch_arrays(
         if not np.all(np.isinf(bounds)):
             return _resume_batch_pruned(
                 lanes, reference_values, cfg, rows, runs, samples_processed,
-                track_runs, starts, processed, bounds, stats,
+                starts, processed, bounds, stats,
             )
     if stats is not None:
         stats.add(sum(lengths) * reference_length, 0)
 
-    # A fresh lane consumes its first sample as the initial DP row and joins
-    # the wavefront afterwards, so its effective step count is one shorter.
-    fresh = [lengths[i] > 0 and int(samples_processed[i]) == 0 for i in range(n_lanes)]
-    effective = [lengths[i] - (1 if fresh[i] else 0) for i in range(n_lanes)]
-    # Descending effective length, ties in input order (a stable sort).
-    order = sorted(range(n_lanes), key=lambda index: -effective[index])
+    # Descending length, ties in input order (a stable sort).
+    order = sorted(range(n_lanes), key=lambda index: -lengths[index])
     inverse = [0] * n_lanes
     for position, lane_index in enumerate(order):
         inverse[lane_index] = position
-    neg_sorted = [-effective[i] for i in order]
-    max_steps = effective[order[0]]
+    neg_sorted = [-lengths[i] for i in order]
 
     input_dtype = np.int64 if cfg.quantize else np.float64
-    padded = np.zeros((n_lanes, max(max_steps, 1)), dtype=input_dtype)
-    first_values = np.zeros(n_lanes, dtype=input_dtype)
+    padded = np.zeros((n_lanes, lengths[order[0]]), dtype=input_dtype)
     for position, lane_index in enumerate(order):
-        lane = lanes[lane_index]
-        size = lengths[lane_index]
-        if size == 0:
-            continue
-        if fresh[lane_index]:
-            first_values[position] = lane[0]
-            padded[position, : size - 1] = lane[1:]
-        else:
-            padded[position, :size] = lane
-    fresh_sorted = np.asarray([fresh[i] for i in order], dtype=np.bool_)
+        padded[position, : lengths[lane_index]] = lanes[lane_index]
     order_index = np.asarray(order, dtype=np.intp)
     inverse_index = np.asarray(inverse, dtype=np.intp)
+    sorted_rows = rows[order_index]
+    sorted_runs = runs[order_index]
+    fresh = samples_processed[order_index] == 0
+    sorted_rows[fresh] = 0
+    sorted_runs[fresh] = 0
 
     use_int_path = int32_data_path(cfg)
     if use_int_path:
         # The int32 path needs every intermediate cost to stay far from the
         # sentinel; bound it by what this call can add to what the state holds.
         value_bound = max(
-            int(np.max(np.abs(padded))),
-            int(np.max(np.abs(first_values))),
-            int(np.max(np.abs(reference_values))),
+            int(np.max(np.abs(padded))), int(np.max(np.abs(reference_values)))
         )
-        rows_bound = int(np.max(np.abs(rows)))
-        growth = (2 * value_bound + int(bonus) + 1) * max(lengths)
+        rows_bound = int(np.max(np.abs(sorted_rows)))
+        growth = (2 * value_bound + int(bonus) + 1) * padded.shape[1]
         use_int_path = rows_bound + growth < 2**28
 
     # Non-zero panel block boundaries as an index array (None for the
@@ -752,16 +737,12 @@ def _resume_batch_arrays(
     if use_int_path:
         out_rows, out_runs = _advance_batch_int32(
             padded,
-            first_values,
-            fresh_sorted,
             neg_sorted,
-            max_steps,
-            rows[order_index],
-            runs[order_index],
+            sorted_rows,
+            sorted_runs,
             reference_values,
             int(bonus),
             cap,
-            track_runs,
             inner_index,
         )
         out_rows = out_rows.astype(np.int64)[inverse_index]
@@ -769,12 +750,9 @@ def _resume_batch_arrays(
     else:
         out_rows, out_runs = _advance_batch_generic(
             padded,
-            first_values,
-            fresh_sorted,
             neg_sorted,
-            max_steps,
-            rows[order_index],
-            runs[order_index],
+            sorted_rows,
+            sorted_runs,
             reference_values,
             cfg,
             inner_index,
@@ -793,7 +771,6 @@ def _resume_batch_pruned(
     rows: np.ndarray,
     runs: np.ndarray,
     samples_processed: np.ndarray,
-    track_runs: bool,
     starts: np.ndarray,
     processed: np.ndarray,
     bounds: np.ndarray,
@@ -828,8 +805,8 @@ def _resume_batch_pruned(
         if lengths[index] == 0:
             continue
         if int(samples_processed[index]) == 0:
-            # A fresh lane's first sample initializes every column, so it
-            # joins the wavefront unpruned this round.
+            # A fresh lane's stored row is replaced by the free start, so
+            # there is nothing to prune on: it joins the wavefront unpruned.
             surviving.append(index)
             union[:] = True
             continue
@@ -873,7 +850,6 @@ def _resume_batch_pruned(
             rows[surviving_index][:, lo:hi],
             runs[surviving_index][:, lo:hi],
             sub_samples,
-            track_runs=track_runs,
             block_starts=sub_starts,
         )
         out_rows[:, lo:hi][surviving_index] = advanced_rows
@@ -887,16 +863,12 @@ def _resume_batch_pruned(
 
 def _advance_batch_int32(
     padded: np.ndarray,
-    first_values: np.ndarray,
-    fresh: np.ndarray,
     neg_sorted: List[int],
-    max_steps: int,
     rows_in: np.ndarray,
     runs_in: np.ndarray,
     reference_values: np.ndarray,
     bonus: int,
     cap: int,
-    track_runs: bool,
     inner_index: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integer wavefront over lane-sorted state (the hardware data path).
@@ -906,11 +878,12 @@ def _advance_batch_int32(
     dwell counters enter the recurrence only through ``bonus * min(run,
     cap)``, which is carried directly as a saturating per-column table —
     turning the scalar kernel's shift/minimum/multiply/where cascade into
-    in-place ``minimum``/``add`` passes over contiguous prefixes.
-    ``inner_index`` holds the non-zero panel block boundaries; they receive
-    the same sentinel as column 0, severing the diagonal between targets.
-    Scalars stay plain Python ints: NumPy keeps the array's ``int32`` dtype
-    when combining with weak Python scalars.
+    in-place ``minimum``/``add`` passes over contiguous prefixes — and come
+    back as the capped counters ``min(run, cap)`` (unchanged without a
+    bonus). ``inner_index`` holds the non-zero panel block boundaries; they
+    receive the same sentinel as column 0, severing the diagonal between
+    targets. Scalars stay plain Python ints: NumPy keeps the array's
+    ``int32`` dtype when combining with weak Python scalars.
     """
     n_lanes, reference_length = rows_in.shape
     big = 2**29
@@ -920,10 +893,6 @@ def _advance_batch_int32(
     runs = runs_in.astype(np.int32)
     query = padded.astype(np.int32)
     reference32 = reference_values.astype(np.int32)
-    if bool(np.any(fresh)):
-        firsts = first_values.astype(np.int32)
-        rows[fresh] = np.abs(firsts[fresh][:, None] - reference32[None, :])
-        runs[fresh] = 1
     bonus_of = None
     if bonus:
         bonus_of = bonus * np.minimum(runs, cap)
@@ -931,10 +900,8 @@ def _advance_batch_int32(
     local = np.empty((n_lanes, reference_length), dtype=np.int32)
     diagonal = np.empty((n_lanes, reference_length), dtype=np.int32)
     take = np.empty((n_lanes, reference_length), dtype=np.bool_)
-    for step in range(max_steps):
+    for step in range(padded.shape[1]):
         k = bisect_left(neg_sorted, -step)
-        if k == 0:
-            break
         row_view = rows[:k]
         local_view = local[:k]
         diagonal_view = diagonal[:k]
@@ -948,31 +915,21 @@ def _advance_batch_int32(
         diagonal_view[:, 0] = big
         if inner_index is not None:
             diagonal_view[:, inner_index] = big
-        if track_runs or bonus:
+        if bonus:
             np.less(diagonal_view, row_view, out=take_view)
         np.minimum(row_view, diagonal_view, out=row_view)
         row_view += local_view
-        if track_runs:
-            runs[:k] += 1
-            np.copyto(runs[:k], 1, where=take_view)
         if bonus:
             bonus_view = bonus_of[:k]
             bonus_view += bonus
             np.minimum(bonus_view, cap_bonus, out=bonus_view)
             np.copyto(bonus_view, bonus, where=take_view)
-    if not track_runs and bonus:
-        # Recover the capped counters the bonus table carries; resumption
-        # only ever consumes min(run, cap), so this is lossless.
-        runs = bonus_of // bonus
-    return rows, runs
+    return rows, (bonus_of // bonus if bonus else runs)
 
 
 def _advance_batch_generic(
     padded: np.ndarray,
-    first_values: np.ndarray,
-    fresh: np.ndarray,
     neg_sorted: List[int],
-    max_steps: int,
     rows_in: np.ndarray,
     runs_in: np.ndarray,
     reference_values: np.ndarray,
@@ -989,24 +946,16 @@ def _advance_batch_generic(
     n_lanes, reference_length = rows_in.shape
     bonus = float(cfg.match_bonus)
     cap = cfg.match_bonus_cap
-    integer_accumulator = cfg.quantize and not cfg.uses_bonus
-    accumulator = np.int64 if integer_accumulator else np.float64
-    big = 2**40 if integer_accumulator else np.inf
+    accumulator = _accumulator_dtype(cfg)
+    big = _big_for(accumulator)
 
     rows = rows_in.astype(accumulator)
     runs = runs_in.copy()
-    if bool(np.any(fresh)):
-        rows[fresh] = _local_distance(
-            first_values[fresh][:, None], reference_values[None, :], cfg
-        ).astype(accumulator)
-        runs[fresh] = 1
 
     cost_shift = np.empty((n_lanes, reference_length), dtype=accumulator)
     run_shift = np.empty((n_lanes, reference_length), dtype=np.int64)
-    for step in range(max_steps):
+    for step in range(padded.shape[1]):
         k = bisect_left(neg_sorted, -step)
-        if k == 0:
-            break
         previous = rows[:k]
         local = _local_distance(
             padded[:k, step][:, None], reference_values[None, :], cfg
@@ -1046,68 +995,6 @@ def sdtw_cost(
     )
 
 
-def _last_row_no_deletions(
-    query: np.ndarray,
-    reference: np.ndarray,
-    config: SDTWConfig,
-) -> np.ndarray:
-    """Hardware recurrence: ``S[i,j] = d + min(S[i-1,j-1], S[i-1,j])``."""
-    big = _infinity_for(query, config)
-    previous = _local_distance(query[0], reference, config).astype(previous_dtype(config))
-    shifted = np.empty_like(previous)
-    for i in range(1, query.size):
-        local = _local_distance(query[i], reference, config)
-        shifted[0] = big
-        shifted[1:] = previous[:-1]
-        previous = local + np.minimum(shifted, previous)
-    return previous
-
-
-def _last_row_no_deletions_bonus(
-    query: np.ndarray,
-    reference: np.ndarray,
-    config: SDTWConfig,
-) -> np.ndarray:
-    """Hardware recurrence with the translocation-rate match bonus.
-
-    Alongside the cost row we carry ``run[j]``: the number of query samples
-    the best path ending at ``(i, j)`` has aligned to reference position
-    ``j``. Taking the diagonal move to a new reference base earns a bonus of
-    ``match_bonus * min(run_on_previous_base, match_bonus_cap)``.
-    """
-    big = np.inf
-    bonus = float(config.match_bonus)
-    cap = config.match_bonus_cap
-
-    # The bonus subtraction mixes the integer costs with a (possibly
-    # fractional) reward, so this kernel accumulates in float64 and rounds at
-    # the end when the quantized data path is selected. With an integer bonus
-    # the intermediate values stay exactly integral.
-    previous = _local_distance(query[0], reference, config).astype(np.float64)
-    run = np.ones(reference.size, dtype=np.int64)
-
-    cost_shift = np.empty_like(previous)
-    run_shift = np.empty_like(run)
-    for i in range(1, query.size):
-        local = _local_distance(query[i], reference, config).astype(np.float64)
-
-        cost_shift[0] = big
-        cost_shift[1:] = previous[:-1]
-        run_shift[0] = 0
-        run_shift[1:] = run[:-1]
-
-        diagonal = cost_shift - bonus * np.minimum(run_shift, cap)
-        vertical = previous
-
-        take_diagonal = diagonal < vertical
-        best = np.where(take_diagonal, diagonal, vertical)
-        previous = local + best
-        run = np.where(take_diagonal, 1, run + 1)
-    if config.quantize:
-        return np.rint(previous)
-    return previous
-
-
 def _last_row_with_deletions(
     query: np.ndarray,
     reference: np.ndarray,
@@ -1139,19 +1026,6 @@ def _last_row_with_deletions(
     if config.quantize:
         return np.rint(previous)
     return previous
-
-
-def previous_dtype(config: SDTWConfig):
-    """Accumulator dtype for the configured kernel."""
-    return np.int64 if config.quantize else np.float64
-
-
-def _infinity_for(query: np.ndarray, config: SDTWConfig):
-    if config.quantize:
-        # Large enough to never be selected, small enough to avoid overflow
-        # after a full query of additions.
-        return np.int64(2**40)
-    return np.inf
 
 
 def sdtw_cost_matrix(

@@ -96,14 +96,14 @@ class RunConfig:
         spans advance. ``prune_margin`` widens the exactness window:
         every reported cost within ``margin`` of the threshold also stays
         bit-exact (at the price of fewer pruned cells).
-    lb_cascade / lb_level:
+    lb_cascade:
         The lower-bound lane gate on top of ``prune`` (requires it): a
-        cascade of conservative lower bounds (LB_Kim-style extrema bound,
-        then an LB_Keogh-style per-target envelope bound at ``lb_level``
-        2, the default) lets whole lanes skip their wavefront advance —
-        before dispatch, so skipped lanes never cross worker pipes —
-        once no continuation could ever decide differently. Decisions
-        stay bit-identical to brute force.
+        cascade of conservative lower bounds (an LB_Kim-style extrema
+        bound, then an LB_Keogh-style per-target envelope bound) lets
+        whole lanes skip their wavefront advance — before dispatch, so
+        skipped lanes never cross worker pipes — once no continuation
+        could ever decide differently. Decisions stay bit-identical to
+        brute force.
     """
 
     genome: Optional[str] = None
@@ -124,7 +124,6 @@ class RunConfig:
     prune: bool = False
     prune_margin: float = 0.0
     lb_cascade: bool = False
-    lb_level: int = 2
 
     def __post_init__(self) -> None:
         from repro.batch.backends import available_backends  # deferred: keeps core importable
@@ -171,10 +170,6 @@ class RunConfig:
             )
         if self.prune_margin < 0:
             raise ValueError(f"prune_margin: must be non-negative, got {self.prune_margin}")
-        if self.lb_level not in (1, 2):
-            raise ValueError(
-                f"lb_level: must be 1 (LB_Kim) or 2 (LB_Kim + LB_Keogh), got {self.lb_level}"
-            )
         if self.lb_cascade and not self.prune:
             raise ValueError(
                 "lb_cascade: requires prune=True — the lane gate compares lower "

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
 from repro.runtime.config import RunConfig, resolve_auto
-from repro.sequencer.read_until_api import check_finite_chunks
+from repro.sequencer.read_until_api import check_round_chunks
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep open_session cheap
     from repro.batch.classifier import BatchSquiggleClassifier
@@ -269,16 +269,17 @@ class ReadUntilSession:
         ids are begun automatically, then the whole round advances through
         one batched wavefront exactly as the pipeline's fast path would.
 
-        Two malformed rounds raise :class:`ValueError` before anything runs
-        — no read of the round is begun, and the session stays open for the
-        next (valid) round: a chunk holding a NaN or infinite sample (the
-        error names the read), and a round that would leave more reads in
+        A malformed round raises :class:`ValueError` before anything runs —
+        no read of the round is begun, and the session stays open for the
+        next (valid) round: a chunk whose signal is not 1-D or holds a NaN
+        or infinite sample, a read with two chunks in the round (these
+        errors name the read), and a round that would leave more reads in
         flight than ``n_channels``. A read is in flight from when it begins
         until it is decided or ended; each channel carries one at a time, so
         the cap bounds the engine's lanes.
         """
         self._check_open()
-        check_finite_chunks(round_chunks)
+        check_round_chunks(round_chunks)
         self._acquire_writer("submit")
         try:
             in_flight = len(self._begun | {chunk.read_id for chunk in round_chunks})
@@ -388,8 +389,8 @@ class ReadUntilSession:
             summary["busy_rounds"] = len(engine.rounds)
             summary["cells_advanced"] = engine.cells_advanced
             summary["cells_pruned"] = engine.cells_pruned
-            summary["lanes_lb_skipped"] = int(getattr(engine, "lanes_lb_skipped", 0))
-            summary["cells_lb_skipped"] = int(getattr(engine, "cells_lb_skipped", 0))
+            summary["lanes_lb_skipped"] = engine.lanes_lb_skipped
+            summary["cells_lb_skipped"] = engine.cells_lb_skipped
         if self._tracer.enabled:
             summary["phase_totals"] = {
                 name: stat.as_dict()

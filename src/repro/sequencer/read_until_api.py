@@ -57,19 +57,34 @@ class SignalChunk:
         return self.chunk_start_sample + self.chunk_length
 
 
-def check_finite_chunks(chunks: Sequence[SignalChunk]) -> None:
-    """Raise :class:`ValueError` naming the first chunk holding NaN or infinity.
+def check_round_chunks(chunks: Sequence[SignalChunk]) -> None:
+    """Raise :class:`ValueError` naming the first malformed chunk of a round.
 
-    A non-finite raw sample would otherwise normalize into a confident
-    (and meaningless) decision, so classifiers reject the whole round at
-    the boundary, before any of its reads touches lane state.
+    A round is malformed when a chunk's signal is not a 1-D sample array,
+    holds NaN or infinity, or belongs to a read that already has a chunk in
+    the round. A non-finite raw sample would otherwise normalize into a
+    confident (and meaningless) decision, and the other two fail only deep
+    inside the wavefront, so classifiers reject the whole round at the
+    boundary, before any of its reads touches lane state.
     """
+    seen = set()
     for chunk in chunks:
+        if np.ndim(chunk.signal_pa) != 1:
+            raise ValueError(
+                f"signal_pa: chunk of read {chunk.read_id!r} must be a 1-D "
+                f"sample array, got shape {np.shape(chunk.signal_pa)}"
+            )
         if not np.isfinite(chunk.signal_pa).all():
             raise ValueError(
                 f"signal_pa: chunk of read {chunk.read_id!r} holds non-finite "
                 "samples (NaN or infinity); raw pA samples must be finite"
             )
+        if chunk.read_id in seen:
+            raise ValueError(
+                f"read_id: read {chunk.read_id!r} has more than one chunk in "
+                "the round; send at most one chunk per read per round"
+            )
+        seen.add(chunk.read_id)
 
 
 @dataclass

@@ -8,7 +8,8 @@ lifecycle keyed by session id:
   :meth:`RunConfig.from_dict` — service clients get exactly the same
   field-naming error messages as local users — optionally overlaying it on
   the server's default config template; a tenant's ``trace_path`` is
-  refused, so no tenant can make the server write a file;
+  refused, so no tenant can make the server write a file, and
+  ``n_channels`` is capped at one MinION flow cell (512 channels);
   ``backend="auto"`` resolves as the session opens
   (:func:`~repro.runtime.config.resolve_auto`), and the descriptor reports
   the chosen point under ``auto``;
@@ -43,6 +44,7 @@ from repro.runtime import ReadUntilSession, RunConfig, open_session
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool
 from repro.sequencer.read_until_api import SignalChunk
+from repro.sequencer.run import MinIONParameters
 
 __all__ = [
     "SessionManager",
@@ -204,7 +206,9 @@ class SessionManager:
         Raises :class:`ValueError` with the standard ``RunConfig`` messages
         (every error names the offending field) on anything invalid. A
         tenant may not set ``trace_path``: the session would write a file
-        wherever it points when it closes.
+        wherever it points when it closes. Nor may a session serve more
+        channels than one MinION flow cell has: each channel's read holds
+        a lane of per-column state, so ``n_channels`` bounds its memory.
         """
         merged: Dict[str, Any] = dict(self.default_config or {})
         if config is not None:
@@ -224,7 +228,14 @@ class SessionManager:
                 "config: the request names no RunConfig fields and the server "
                 "has no default config template"
             )
-        return RunConfig.from_dict(merged)
+        resolved = RunConfig.from_dict(merged)
+        flow_cell = MinIONParameters().n_channels
+        if resolved.n_channels > flow_cell:
+            raise ValueError(
+                f"n_channels: a served session may have at most {flow_cell} "
+                f"channels (one MinION flow cell), got {resolved.n_channels}"
+            )
+        return resolved
 
     def create(self, config: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Open a session for one tenant config; returns its descriptor."""
@@ -333,7 +344,7 @@ class SessionManager:
                 ("repro_serve_cells_pruned_total", "cells_pruned"),
                 ("repro_serve_cells_lb_skipped_total", "cells_lb_skipped"),
             ):
-                total = int(getattr(engine, attribute, 0))
+                total = getattr(engine, attribute)
                 delta = total - managed.cells_seen.get(attribute, 0)
                 managed.cells_seen[attribute] = total
                 if delta > 0:

@@ -6,11 +6,14 @@ row and decision is bit-identical to the per-read scalar path, whatever the
 kernel config or chunk geometry.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.sdtw as sdtw_module
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
@@ -59,34 +62,79 @@ def _chunk_schedule(rng, query, n_rounds):
     return [query[bounds[i] : bounds[i + 1]] for i in range(n_rounds)]
 
 
+@st.composite
+def ragged_schedules(draw):
+    """Per-lane chunk lists over a shared number of rounds."""
+    queries = draw(lane_queries)
+    n_rounds = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    return [_chunk_schedule(rng, query, n_rounds) for query in queries]
+
+
+# A read that crosses the int32 guard mid-read: kernel-scale samples of about
+# +-3e6 in 20-sample chunks take the int32 path until the stored rows plus one
+# chunk's growth pass 2**28, then the generic path.
+_GUARD_RNG = np.random.default_rng(0)
+INT32_GUARD_REFERENCE = _GUARD_RNG.integers(-3_000_000, 3_000_001, 40)
+_GUARD_READ = _GUARD_RNG.integers(-3_000_000, 3_000_001, 200)
+INT32_GUARD_SCHEDULES = [[_GUARD_READ[start : start + 20] for start in range(0, 200, 20)]]
+
+
 # ------------------------------------------------------------------- kernel
 class TestBatchKernel:
     @default_settings
-    @given(queries=lane_queries, reference=reference_signal, data=st.data())
-    def test_bit_identical_to_scalar_resume_over_ragged_rounds(self, queries, reference, data):
-        """The core property: per-lane rows, runs, and progress match per-read
-        sdtw_resume exactly, across all configs and ragged chunk schedules."""
-        config = data.draw(st.sampled_from(RESUMABLE_CONFIGS))
-        n_rounds = data.draw(st.integers(min_value=1, max_value=4))
-        seed = data.draw(st.integers(min_value=0, max_value=2**31))
-        rng = np.random.default_rng(seed)
-        schedules = [_chunk_schedule(rng, query, n_rounds) for query in queries]
-
+    @given(
+        schedules=ragged_schedules(),
+        reference=reference_signal,
+        config=st.sampled_from(RESUMABLE_CONFIGS),
+    )
+    @example(
+        schedules=INT32_GUARD_SCHEDULES,
+        reference=INT32_GUARD_REFERENCE,
+        config=SDTWConfig.hardware(),
+    )
+    def test_bit_identical_to_scalar_resume_over_ragged_rounds(
+        self, schedules, reference, config
+    ):
+        """The core property: after every round, per-lane rows, capped runs
+        and progress match per-read sdtw_resume exactly, across all configs
+        and ragged chunk schedules."""
+        cap = config.match_bonus_cap
         state = None
-        scalar = [None] * len(queries)
-        for round_index in range(n_rounds):
-            chunks = [schedule[round_index] for schedule in schedules]
-            state = sdtw_resume_batch(chunks, reference, config, state=state)
+        scalar = [None] * len(schedules)
+        for chunks in zip(*schedules):
+            state = sdtw_resume_batch(list(chunks), reference, config, state=state)
             for lane, chunk in enumerate(chunks):
                 if chunk.size:
                     scalar[lane] = sdtw_resume(chunk, reference, config, state=scalar[lane])
-        for lane, expected in enumerate(scalar):
-            assert expected is not None  # min_size=1 guarantees samples
-            assert np.array_equal(state.rows[lane], expected.row)
-            assert np.array_equal(state.runs[lane], expected.run)
-            assert state.samples_processed[lane] == expected.samples_processed
-            assert state.lane(lane).cost == expected.cost
-            assert state.lane(lane).end_position == expected.end_position
+                expected = scalar[lane]
+                if expected is None:
+                    continue
+                assert np.array_equal(state.rows[lane], expected.row)
+                if config.uses_bonus:
+                    assert np.array_equal(
+                        np.minimum(state.runs[lane], cap), np.minimum(expected.run, cap)
+                    )
+                assert state.samples_processed[lane] == expected.samples_processed
+                assert state.lane(lane).cost == expected.cost
+                assert state.lane(lane).end_position == expected.end_position
+        assert all(expected is not None for expected in scalar)  # min_size=1
+
+    def test_int32_guard_example_switches_kernel_mid_read(self):
+        """The guard-crossing example above starts on the int32 path and
+        finishes on the generic one."""
+        paths = []
+        state = None
+        with mock.patch.object(
+            sdtw_module, "_advance_batch_int32", wraps=sdtw_module._advance_batch_int32
+        ) as fast:
+            for chunks in zip(*INT32_GUARD_SCHEDULES):
+                before = fast.call_count
+                state = sdtw_resume_batch(
+                    list(chunks), INT32_GUARD_REFERENCE, SDTWConfig.hardware(), state=state
+                )
+                paths.append("int32" if fast.call_count > before else "generic")
+        assert paths[0] == "int32" and paths[-1] == "generic"
 
     @pytest.mark.parametrize("config", RESUMABLE_CONFIGS)
     def test_fresh_batch_matches_last_row(self, config, rng):
@@ -110,24 +158,6 @@ class TestBatchKernel:
             expected = np.int64 if config.quantize else np.float64
             assert scalar.row.dtype == expected
             assert batch.rows.dtype == expected
-
-    def test_track_runs_false_keeps_rows_identical(self, rng):
-        config = SDTWConfig.hardware()
-        reference = rng.integers(-127, 128, 50)
-        queries = [rng.integers(-127, 128, 40) for _ in range(4)]
-        exact = relaxed = None
-        for start in range(0, 40, 10):
-            chunks = [query[start : start + 10] for query in queries]
-            exact = sdtw_resume_batch(chunks, reference, config, state=exact)
-            relaxed = sdtw_resume_batch(
-                chunks, reference, config, state=relaxed, track_runs=False
-            )
-            assert np.array_equal(exact.rows, relaxed.rows)
-            # Relaxed mode carries the capped counters — the only value the
-            # recurrence consumes.
-            assert np.array_equal(
-                np.minimum(exact.runs, config.match_bonus_cap), relaxed.runs
-            )
 
     def test_zero_length_lane_passes_through(self, rng):
         config = SDTWConfig.hardware()

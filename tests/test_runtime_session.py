@@ -132,6 +132,8 @@ class TestRunConfigSerialization:
             RunConfig.from_dict({"tune": {}})
         with pytest.raises(ValueError, match="^backend_options: "):
             RunConfig.from_dict({"backend_options": {"workers": 2}})
+        with pytest.raises(ValueError, match="^lb_level: "):
+            RunConfig.from_dict({"lb_level": 2})
 
     def test_prebuilt_reference_not_serializable(self, reference_squiggle):
         config = RunConfig(reference=reference_squiggle)
@@ -327,6 +329,32 @@ class TestSessionLifecycle:
                 session.begin_read(chunk.read_id)
             with pytest.raises(ValueError, match="^signal_pa: .*'r-bad'"):
                 session.on_chunk_batch(round_chunks)
+
+    @pytest.mark.parametrize("malformed", ["repeated_read", "two_d_signal"])
+    def test_malformed_round_rejected_before_any_read_begins(
+        self, reference_squiggle, target_signals, malformed
+    ):
+        """A round naming one read twice, or carrying a signal that is not
+        1-D, fails with a field-named ValueError before any read begins; the
+        session stays open and decides the next valid round."""
+        signal = np.asarray(target_signals[0][:400], dtype=np.float64)
+        if malformed == "repeated_read":
+            bad_round = [
+                _chunk("a", signal[:200]),
+                _chunk("a", signal[200:], start=200, last=True),
+            ]
+            match = "^read_id: .*'a'"
+        else:
+            bad_round = [_chunk("a", signal.reshape(2, 200), last=True)]
+            match = "^signal_pa: .*'a'"
+        with open_session(self._config(reference_squiggle)) as session:
+            with pytest.raises(ValueError, match=match):
+                session.submit(bad_round)
+            assert not session.closed
+            assert not session.started  # no read of the bad round was begun
+            actions = session.submit([_chunk("r0", signal, last=True)])
+            assert len(actions) == 1 and actions[0].is_terminal
+            assert session.summary()["rounds"] == 1
 
     def test_round_beyond_n_channels_rejected_before_any_read_begins(
         self, reference_squiggle, target_signals

@@ -124,13 +124,12 @@ class TestGatedBitIdentity:
     @prune_settings
     @given(queries=lane_queries, data=st.data())
     def test_gated_matches_brute_on_every_backend(self, queries, data):
-        """The acceptance property: with the lane gate on (both cascade
-        levels), decisions across ragged chunk schedules on every registered
-        backend are bit-identical to brute force and every cost at or below
-        ``threshold + margin`` is bit-exact."""
+        """The acceptance property: with the lane gate on, decisions across
+        ragged chunk schedules on every registered backend are bit-identical
+        to brute force and every cost at or below ``threshold + margin`` is
+        bit-exact."""
         n_rounds = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
-        lb_level = data.draw(st.sampled_from([1, 2]))
         rng = np.random.default_rng(seed)
         schedules = []
         for query in queries:
@@ -156,7 +155,6 @@ class TestGatedBitIdentity:
                 config,
                 backend=name,
                 options=options,
-                lb_level=lb_level,
                 prune_margin=margin,
                 prune_lifetime_samples=lifetime,
             )
@@ -352,7 +350,6 @@ class TestGateCounters:
         assert len(spans) == 3
         assert sum(span.args["lanes_skipped"] for span in spans) == engine.lanes_lb_skipped
         assert sum(span.args["cells_skipped"] for span in spans) == engine.cells_lb_skipped
-        assert all(span.args["level"] == 2 for span in spans)
 
     def test_session_summary_reports_gate_counters(self, reference_squiggle):
         """Satellite contract: ``session.summary()`` carries the gate totals
@@ -398,16 +395,11 @@ class TestValidation:
         config = BONUS_FREE_CONFIGS[0]
         with pytest.raises(ValueError, match="lb_cascade"):
             BatchSDTWEngine(reference, config, lb_cascade=True)
-        with pytest.raises(ValueError, match="lb_level"):
-            BatchSDTWEngine(reference, config, prune=True, lb_cascade=True, lb_level=3)
 
     def test_run_config_validation_and_round_trip(self):
         genome = "ACGT" * 30
         with pytest.raises(ValueError, match="lb_cascade"):
             RunConfig(genome=genome, lb_cascade=True)
-        with pytest.raises(ValueError, match="lb_level"):
-            RunConfig(genome=genome, prune=True, lb_cascade=True, lb_level=3)
-        config = RunConfig(genome=genome, prune=True, lb_cascade=True, lb_level=1)
+        config = RunConfig(genome=genome, prune=True, lb_cascade=True)
         restored = RunConfig.from_dict(config.to_dict())
         assert restored.lb_cascade is True
-        assert restored.lb_level == 1

@@ -430,6 +430,30 @@ class TestHttpEndToEnd:
         assert meta["round"] == 1
         serve_client.close_session(session_id)
 
+    def test_repeated_read_in_a_round_gets_400_and_the_session_keeps_deciding(
+        self, serve_client
+    ):
+        session_id = serve_client.create_session(service_config(label="repeat"))
+        repeated = [wire_chunk("a", last=False), wire_chunk("a", seed=1)]
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.submit_round(session_id, repeated)
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("read_id")
+        actions, meta = serve_client.submit_round(session_id, [wire_chunk("r0")])
+        assert len(actions) == 1 and actions[0].is_terminal
+        assert meta["round"] == 1
+        serve_client.close_session(session_id)
+
+    def test_n_channels_beyond_one_flow_cell_gets_400(self, serve_client):
+        open_before = len(serve_client.list_sessions())
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.create_session(service_config(n_channels=513))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("n_channels")
+        assert len(serve_client.list_sessions()) == open_before
+        session_id = serve_client.create_session(service_config(n_channels=512))
+        serve_client.close_session(session_id)
+
     def test_closed_underlying_session_maps_to_conflict(
         self, serve_server, serve_client
     ):

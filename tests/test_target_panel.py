@@ -51,6 +51,14 @@ PANEL_REFERENCES = {
 }
 PANEL_CONCAT = np.concatenate(list(PANEL_REFERENCES.values()))
 PANEL_STARTS = np.array([0, 53, 64])
+# The bit-identity property's panel also holds a one-column target between
+# alpha and beta: a block whose only column is severed on both sides.
+PROPERTY_REFERENCES = {
+    "alpha": PANEL_REFERENCES["alpha"],
+    "delta": _PANEL_RNG.integers(-127, 128, 1),
+    "beta": PANEL_REFERENCES["beta"],
+    "gamma": PANEL_REFERENCES["gamma"],
+}
 
 
 def scalar_panel_states(schedules, config):
@@ -139,7 +147,8 @@ class TestPanelBitIdentity:
     def test_panel_costs_match_independent_runs_on_all_backends(self, queries, data):
         """The acceptance property: per-target panel costs/ends equal N
         independent single-reference sdtw_resume runs, across ragged chunk
-        schedules, on numpy (tiled and untiled), sharded and colsharded."""
+        schedules and a one-column target, on numpy, sharded and
+        colsharded."""
         n_rounds = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
@@ -150,14 +159,16 @@ class TestPanelBitIdentity:
             schedules.append([query[bounds[i] : bounds[i + 1]] for i in range(n_rounds)])
 
         config = SDTWConfig.hardware()
-        panel_values = PANEL_CONCAT
+        panel_values = np.concatenate(list(PROPERTY_REFERENCES.values()))
+        lengths = [reference.size for reference in PROPERTY_REFERENCES.values()]
+        block_starts = np.cumsum([0, *lengths[:-1]])
         backends = [
             create_backend(
                 name,
                 panel_values,
                 config,
                 len(queries),
-                block_starts=PANEL_STARTS,
+                block_starts=block_starts,
                 **dict(options or {}),
             )
             for name, options in PANEL_BACKENDS
@@ -170,15 +181,15 @@ class TestPanelBitIdentity:
                 for lane, chunk in enumerate(chunks):
                     if not chunk.size:
                         continue
-                    for name, reference in PANEL_REFERENCES.items():
+                    for name, reference in PROPERTY_REFERENCES.items():
                         scalar[(lane, name)] = sdtw_resume(
                             chunk, reference, config, state=scalar.get((lane, name))
                         )
                 results = [backend.advance(lanes, chunks) for backend in backends]
                 for backend, (costs, ends) in zip(backends, results):
-                    assert costs.shape == (len(queries), 3)
+                    assert costs.shape == (len(queries), len(PROPERTY_REFERENCES))
                     for lane in range(len(queries)):
-                        for index, name in enumerate(PANEL_REFERENCES):
+                        for index, name in enumerate(PROPERTY_REFERENCES):
                             state = scalar.get((lane, name))
                             if state is None:
                                 continue
@@ -193,7 +204,7 @@ class TestPanelBitIdentity:
                     if not queries[lane].size:
                         continue
                     expected = np.concatenate(
-                        [scalar[(lane, name)].row for name in PANEL_REFERENCES]
+                        [scalar[(lane, name)].row for name in PROPERTY_REFERENCES]
                     )
                     assert np.array_equal(gathered.rows[lane], expected), (
                         backend.backend_name
