@@ -1,66 +1,61 @@
-"""Supplementary benchmark: scalar per-read loop vs the batched sDTW backends.
+"""Supplementary benchmark: scalar per-read loop vs the batched sDTW engine.
 
 The batch execution engine's argument is that one ``(channels, reference)``
 matrix operation per wavefront step beats ``channels`` separate
 ``(reference,)`` operations issued from a Python loop — the same reason the
 accelerator advances all alignments in lockstep. This benchmark replays an
 identical chunk-round workload through the per-read scalar path and through
-the engine on each requested execution backend, checks the costs are
+the engine at each requested kernel-thread count, checks the costs are
 bit-identical, and reports wavefront throughput (DP cells per second).
 
 Two entry points:
 
-* **pytest** (the CI smoke path) measures the default ``numpy`` backend on
-  two deployment geometries: ``amplicon`` — a qPCR-assay-scale target across
+* **pytest** (the CI smoke path) measures the ``numpy`` backend on one
+  thread on two deployment geometries: ``amplicon`` — a qPCR-assay-scale target across
   a large channel count, where the per-read Python loop is
   overhead-dominated and lockstep batching pays maximally (gated via
   ``BATCH_SDTW_MIN_SPEEDUP``, default 5x) — and ``genome`` — a
   lambda-phage-scale reference, where every kernel call is
   memory-bandwidth-bound and one core's bandwidth is the ceiling (reported,
   not gated).
-* **script mode** (``python benchmarks/bench_batch_sdtw.py --backend sharded
-  --backend colsharded --workers 2 4``) measures any registered backend on
-  three workloads — ``flowcell``: by default 512 channels against a
-  genome-scale reference, the configuration lane sharding exists for;
-  ``genome_single_channel``: one channel against a larger genome, the
-  configuration **column** sharding exists for (lane striping has nothing to
-  distribute there; ``numpy`` vs ``sharded`` vs ``colsharded`` on that row is
-  the reference-axis-tiling story); and ``flowcell_pruned``: a minority of
-  channels stream reads sampled from the reference plus noise while the
-  rest stream random signal, and every backend is measured brute-force
-  **and** with the pruning layer on (kill bounds from a threshold placed
-  between the two cost distributions) — the ``<backend>[pruned]`` entries
-  carry ``cells_advanced`` / ``cells_pruned`` / ``pruned_fraction`` and
-  ``speedup_vs_unpruned``, after asserting accept/eject decisions and every
-  below-threshold cost are bit-identical to brute force; and ``flowcell_lb``:
-  the same mixed construction but in the adaptive-sampling regime the gate
-  targets: a full flowcell of mostly-off-target channels (one lane in 128
-  on target by default), short chunks, and many decision rounds, measured
-  brute-force, pruned, **and** pruned with the
-  lower-bound lane gate on (``lb_cascade=True``) — the ``<backend>[lb]``
-  entries add ``lanes_lb_skipped`` / ``cells_lb_skipped`` and
-  ``speedup_vs_pruned``, the gate's win over column pruning alone, under the
-  same in-bench bit-identity assertions — and emits
-  per-backend JSON so throughput
-  scaling with ``--workers`` is measurable. Every engine run is traced
-  (:mod:`repro.obs`), so each backend entry carries a ``phases`` self-time
-  breakdown whose sum matches the measured seconds, plus per-worker-track
-  phase tables for the process-sharded backends. ``--config run.json`` loads a
-  :class:`repro.runtime.RunConfig`: its backend/workers become
-  the measured backend (when no ``--backend`` flags are given) and the
-  serialized config is recorded under the report's ``run_config`` key, so a
-  benchmark JSON documents exactly the configuration that produced it. The
-  committed ``BENCH_batch_sdtw.json`` at the repository root records this
-  script's output per PR, the performance trajectory baseline.
+* **script mode** (``python benchmarks/bench_batch_sdtw.py --workers 2 4``)
+  measures the one-thread ``numpy`` baseline plus one ``numpy[workers=N]``
+  row per ``--workers`` value on four workloads — ``flowcell``: by default
+  512 channels against a genome-scale reference, where splitting the lanes
+  over threads pays; ``genome_single_channel``: one channel against a larger
+  genome (one lane cannot be split, so every row runs it on one thread);
+  ``flowcell_pruned``: a minority of channels stream reads sampled from the
+  reference plus noise while the rest stream random signal, and every row
+  is measured brute-force **and** with the pruning layer on (kill bounds
+  from a threshold placed between the two cost distributions) — the
+  ``<row>[pruned]`` entries carry ``cells_advanced`` / ``cells_pruned`` /
+  ``pruned_fraction`` and ``speedup_vs_unpruned``, after asserting
+  accept/eject decisions and every below-threshold cost are bit-identical
+  to brute force; and ``flowcell_lb``: the same mixed construction but in
+  the adaptive-sampling regime the gate targets: a full flowcell of
+  mostly-off-target channels (one lane in 128 on target by default), short
+  chunks, and many decision rounds, measured brute-force, pruned, **and**
+  pruned with the lower-bound lane gate on (``lb_cascade=True``) — the
+  ``<row>[lb]`` entries add ``lanes_lb_skipped`` / ``cells_lb_skipped`` and
+  ``speedup_vs_pruned``, the gate's win over column pruning alone, under
+  the same in-bench bit-identity assertions — and emits per-row JSON so
+  throughput scaling with ``--workers`` is measurable. Every engine run is
+  traced (:mod:`repro.obs`), so each entry carries a ``phases`` self-time
+  breakdown whose sum matches the measured seconds, plus per-thread-track
+  phase tables for the threaded rows. ``--config run.json`` loads a
+  :class:`repro.runtime.RunConfig`: its ``workers`` becomes the measured
+  thread count (when no ``--workers`` flags are given) and the serialized
+  config is recorded under the report's ``run_config`` key, so a benchmark
+  JSON documents exactly the configuration that produced it. The committed
+  ``BENCH_batch_sdtw.json`` at the repository root records this script's
+  output per PR, the performance trajectory baseline.
 
-Every backend entry reports two cell rates. ``nominal_cells_per_s`` counts
-every cell of the full DP problem per second — pruned cells retire for free,
-so pruning raises it; it is the end-to-end throughput figure.
+Every entry reports two cell rates. ``nominal_cells_per_s`` counts every
+cell of the full DP problem per second — pruned cells retire for free, so
+pruning raises it; it is the end-to-end throughput figure.
 ``effective_cells_per_s`` counts only the cells the kernel actually advanced
-per second — the raw compute rate, roughly constant with or without pruning
-(the multi-process column backend's figure includes halo recompute, so its
-``cells_advanced`` can exceed the problem's ``dp_cells``). Without pruning
-the two coincide up to that halo term.
+per second — the raw compute rate, roughly constant with or without pruning.
+Without pruning the two coincide.
 
 Both emit a machine-readable JSON report (``BATCH_SDTW_JSON`` / ``--json``
 choose the path; unset or ``-`` prints to stdout only). Pytest tunables:
@@ -77,7 +72,6 @@ import time
 import numpy as np
 from _bench_utils import host_block, print_rows
 
-from repro.batch import available_backends
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
 from repro.core.reference import ReferenceSquiggle
@@ -147,12 +141,11 @@ def _measure_scalar(rounds, reference, config):
     return time.perf_counter() - start, states
 
 
-def _measure_engine(rounds, reference, config, backend, backend_options,
+def _measure_engine(rounds, reference, config, backend_options,
                     prune_threshold=None, prune_lifetime=None, lb_cascade=False):
-    """One engine step per round across all channels, on the given backend.
+    """One engine step per round across all channels, with the given options.
 
-    Backend construction (worker-pool spawn for the sharded backend) happens
-    outside the timed region: pools are persistent in deployment, paid once
+    Backend construction happens outside the timed region: it is paid once
     per run, not once per round. The run is traced so the report can
     attribute round time to execution phases; the tracer is one predicted
     branch plus a perf_counter pair per span, far below measurement noise.
@@ -166,7 +159,7 @@ def _measure_engine(rounds, reference, config, backend, backend_options,
     tracer = Tracer(track="bench")
     prune = prune_threshold is not None
     engine = BatchSDTWEngine(
-        reference, config, backend=backend, backend_options=backend_options,
+        reference, config, backend_options=backend_options,
         tracer=tracer,
         prune=prune,
         prune_margin=0.0,
@@ -187,13 +180,13 @@ def _measure_engine(rounds, reference, config, backend, backend_options,
 
 
 def _phase_breakdown(tracer):
-    """Per-phase self-time tables: the parent track, then each worker track.
+    """Per-phase self-time tables: the calling thread's track, then each
+    kernel thread's.
 
-    The parent track's self times decompose the traced wall clock exactly
+    The first track's self times decompose the traced wall clock exactly
     (every root span's duration is distributed over its subtree), so
-    ``sum(self_s) ~= seconds`` per backend entry. Worker tracks run on
-    other processes and overlap the parent, so they are reported separately
-    rather than summed in.
+    ``sum(self_s) ~= seconds`` per entry. Kernel-thread tracks overlap it,
+    so they are reported separately rather than summed in.
     """
     tracks = tracer.tracks()
     parent = {
@@ -210,13 +203,13 @@ def _phase_breakdown(tracer):
     return parent, workers
 
 
-def _backend_entry(backend, options, dp_cells, scalar_s, batch_s, engine, tracer):
+def _backend_entry(options, dp_cells, scalar_s, batch_s, engine, tracer):
     """One report entry: timings, phase breakdown, and the cell counters."""
     phases, worker_phases = _phase_breakdown(tracer)
     advanced = engine.cells_advanced
     pruned = engine.cells_pruned
     entry = {
-        "backend": backend,
+        "backend": engine.backend_name,
         "options": dict(options or {}),
         "seconds": batch_s,
         "cells_advanced": int(advanced),
@@ -240,25 +233,25 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
              lb_gate=False, threshold_position=0.5):
     """Measure scalar vs engine throughput; returns the per-workload report.
 
-    ``backend_specs`` is a list of ``(label, backend_name, options)``; the
-    default measures the in-process numpy backend only. Legacy top-level
-    keys (``batched_seconds``, ``speedup``, ...) describe the first listed
-    backend, keeping the CI gate stable; every backend gets an entry under
+    ``backend_specs`` is a list of ``(label, options)`` for the numpy
+    backend; the default measures one thread only. Legacy top-level keys
+    (``batched_seconds``, ``speedup``, ...) describe the first listed spec,
+    keeping the CI gate stable; every spec gets an entry under
     ``"backends"``.
 
     With ``prune_on_target`` (a per-channel boolean mask; pair with
-    ``round_chunks`` from :func:`_pruned_chunk_rounds`) every backend is
+    ``round_chunks`` from :func:`_pruned_chunk_rounds`) every spec is
     measured a second time with the pruning layer on, against a threshold
     placed midway between the on- and off-target cost distributions; the
     extra ``<label>[pruned]`` entries carry ``speedup_vs_unpruned`` and the
     pruning counters, after asserting the decisions and every
     below-threshold cost match brute force bit for bit. ``lb_gate=True``
-    adds a third measurement per backend with the lower-bound lane gate on
+    adds a third measurement per spec with the lower-bound lane gate on
     (``<label>[lb]``, carrying ``speedup_vs_pruned`` and the gate counters)
     under the same bit-identity assertions.
     """
     if backend_specs is None:
-        backend_specs = [("numpy", "numpy", None)]
+        backend_specs = [("numpy", None)]
     config = SDTWConfig.hardware()
     if round_chunks is None:
         rng = np.random.default_rng(20211025)
@@ -286,9 +279,9 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
         lifetime = int(per_channel.max())
 
     backends = {}
-    for label, backend, options in backend_specs:
+    for label, options in backend_specs:
         batch_s, snapshots, engine, tracer = _measure_engine(
-            round_chunks, reference, config, backend, options
+            round_chunks, reference, config, options
         )
         try:
             # Same work, bit-identical outcome — whatever executed it.
@@ -298,9 +291,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
                     label,
                     channel,
                 )
-            entry = _backend_entry(
-                backend, options, dp_cells, scalar_s, batch_s, engine, tracer
-            )
+            entry = _backend_entry(options, dp_cells, scalar_s, batch_s, engine, tracer)
         finally:
             engine.close()
         backends[label] = entry
@@ -308,7 +299,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
         if threshold is None:
             continue
         batch_s, snapshots, engine, tracer = _measure_engine(
-            round_chunks, reference, config, backend, options,
+            round_chunks, reference, config, options,
             prune_threshold=threshold, prune_lifetime=lifetime,
         )
         try:
@@ -324,7 +315,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
                     assert snapshot.cost == state.cost, (label, channel)
                     assert snapshot.end_position == state.end_position, (label, channel)
             pruned_entry = _backend_entry(
-                backend, options, dp_cells, scalar_s, batch_s, engine, tracer
+                options, dp_cells, scalar_s, batch_s, engine, tracer
             )
         finally:
             engine.close()
@@ -336,7 +327,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
         if not lb_gate:
             continue
         batch_s, snapshots, engine, tracer = _measure_engine(
-            round_chunks, reference, config, backend, options,
+            round_chunks, reference, config, options,
             prune_threshold=threshold, prune_lifetime=lifetime, lb_cascade=True,
         )
         try:
@@ -351,7 +342,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
                     assert snapshot.cost == state.cost, (label, channel)
                     assert snapshot.end_position == state.end_position, (label, channel)
             lb_entry = _backend_entry(
-                backend, options, dp_cells, scalar_s, batch_s, engine, tracer
+                options, dp_cells, scalar_s, batch_s, engine, tracer
             )
         finally:
             engine.close()
@@ -441,33 +432,26 @@ def test_batch_wavefront_throughput_genome(lambda_reference):
 # ------------------------------------------------------------------ script
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Measure batched-sDTW execution backends against the "
-        "per-read scalar loop and emit per-backend throughput JSON."
-    )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        choices=available_backends(),
-        default=None,
-        help="execution backend to measure (repeatable; default: numpy; the "
-        "numpy baseline is always included)",
+        description="Measure the batched-sDTW engine against the per-read "
+        "scalar loop and emit per-thread-count throughput JSON."
     )
     parser.add_argument(
         "--config",
         default=None,
         metavar="PATH",
-        help="load a repro.runtime.RunConfig (JSON/YAML): its backend and "
-        "workers become the measured backend when no "
-        "--backend flags are given, and the serialized config is recorded "
-        "under the report's 'run_config' key for reproducibility",
+        help="load a repro.runtime.RunConfig (JSON/YAML): its workers become "
+        "the measured thread count when no --workers flags are given, and "
+        "the serialized config is recorded under the report's 'run_config' "
+        "key for reproducibility",
     )
     parser.add_argument(
         "--workers",
         type=int,
         nargs="+",
-        default=[2],
-        help="worker-pool sizes to measure for the sharded backend (one "
-        "measurement per value, so scaling is visible in the JSON)",
+        default=None,
+        help="kernel-thread counts to measure beside the one-thread numpy "
+        "baseline (one numpy[workers=N] row per value, so scaling is visible "
+        "in the JSON)",
     )
     parser.add_argument(
         "--channels",
@@ -487,8 +471,7 @@ def main(argv=None):
         type=int,
         default=6000,
         help="genome length for the single-channel workload (0 skips it); "
-        "this is the regime column sharding targets: one lane, a reference "
-        "too long for one core's bandwidth",
+        "one lane, a reference too long for one core's bandwidth",
     )
     parser.add_argument(
         "--single-channel-rounds",
@@ -504,7 +487,7 @@ def main(argv=None):
         type=int,
         default=128,
         help="channels for the flowcell_pruned workload, which measures "
-        "every backend brute-force and with the pruning layer on "
+        "every row brute-force and with the pruning layer on "
         "(0 skips it)",
     )
     parser.add_argument(
@@ -534,7 +517,7 @@ def main(argv=None):
         type=int,
         default=512,
         help="channels for the flowcell_lb workload, which measures every "
-        "backend brute-force, pruned, and pruned with the lower-bound lane "
+        "row brute-force, pruned, and pruned with the lower-bound lane "
         "gate on (0 skips it)",
     )
     parser.add_argument(
@@ -578,7 +561,7 @@ def main(argv=None):
         "--min-speedup",
         type=float,
         default=None,
-        help="fail unless every measured backend beats the scalar loop by "
+        help="fail unless every measured row beats the scalar loop by "
         "this factor (smoke-gate for CI)",
     )
     args = parser.parse_args(argv)
@@ -590,21 +573,12 @@ def main(argv=None):
         run_config = RunConfig.from_file(args.config)
         _REPORTS["run_config"] = run_config.to_dict()
 
-    specs = [("numpy", "numpy", None)]
-    if args.backend is None and run_config is not None:
-        # The config names the backend under measurement; the numpy baseline
-        # stays as the comparison row.
-        if run_config.backend != "numpy":
-            options = None if run_config.workers is None else {"workers": run_config.workers}
-            specs.append((f"{run_config.backend}[config]", run_config.backend, options))
-    else:
-        for backend in args.backend or ["numpy"]:
-            if backend == "numpy":
-                continue
-            for workers in args.workers:
-                specs.append(
-                    (f"{backend}[workers={workers}]", backend, {"workers": workers})
-                )
+    worker_counts = args.workers
+    if worker_counts is None:
+        worker_counts = [run_config.workers] if run_config and run_config.workers else []
+    specs = [("numpy", None)] + [
+        (f"numpy[workers={workers}]", {"workers": workers}) for workers in worker_counts
+    ]
 
     reference = ReferenceSquiggle.from_genome(
         random_genome(args.genome_bases, seed=args.seed)
@@ -616,8 +590,7 @@ def main(argv=None):
 
     if args.single_channel_genome_bases:
         # One channel, genome-scale reference: the workload PR 2 measured as
-        # single-core bandwidth-bound. Lane sharding cannot help (one lane);
-        # column sharding stripes the reference axis instead.
+        # single-core bandwidth-bound. One lane cannot be split over threads.
         single_reference = ReferenceSquiggle.from_genome(
             random_genome(args.single_channel_genome_bases, seed=args.seed + 1)
         ).values(quantized=True)
@@ -630,7 +603,7 @@ def main(argv=None):
         )
 
     if args.pruned_channels:
-        # The pruning workload: mixed on-/off-target traffic, every backend
+        # The pruning workload: mixed on-/off-target traffic, every row
         # measured brute-force and pruned against the same kill threshold.
         pruned_rng = np.random.default_rng(args.seed + 2)
         pruned_chunks, on_target = _pruned_chunk_rounds(
@@ -652,7 +625,7 @@ def main(argv=None):
         )
 
     if args.lb_channels:
-        # The lane-gate workload: mostly off-target traffic, every backend
+        # The lane-gate workload: mostly off-target traffic, every row
         # measured brute-force, column-pruned, and column-pruned with the
         # lower-bound cascade skipping dead lanes before dispatch.
         lb_rng = np.random.default_rng(args.seed + 3)

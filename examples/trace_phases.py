@@ -6,15 +6,13 @@ microseconds go between raw signal and an eject decision — and
 ``repro.obs`` gives the reproduction the same lens on itself. This example
 
 1. opens a **traced** :class:`~repro.runtime.ReadUntilSession`
-   (``RunConfig(trace=True, trace_path=...)``) on the sharded
-   worker-process backend and streams a small simulated flowcell through
-   it,
+   (``RunConfig(trace=True, trace_path=...)``) on the numpy backend with
+   two kernel threads and streams a small simulated flowcell through it,
 2. reads the in-memory **flight recorder** (``session.trace()``) and the
    per-phase totals in ``session.summary()["phase_totals"]``,
 3. prints the per-track **self-time** phase tables — per track, self times
    decompose the root spans' wall clock exactly, so every table sums to
-   that track's traced time — including one track per backend worker
-   process, and
+   that track's traced time — including one track per kernel thread, and
 4. exports Chrome trace-event JSON on close: open it at
    https://ui.perfetto.dev, or run ``repro trace trace_phases.json``.
 
@@ -66,7 +64,6 @@ def main() -> None:
         prefix_samples=800,
         chunk_samples=400,
         n_channels=8,
-        backend="sharded",
         workers=2,
         label="trace-demo",
     )
@@ -102,9 +99,9 @@ def main() -> None:
         print(f"round wall clock: {summary['round_wall_s'] * 1e3:.1f} ms over "
               f"{summary['busy_rounds']} busy rounds ({summary['n_polls']} polls)")
 
-        # 3. Per-track self-time breakdown. The parent track's self times sum
-        #    to its root spans' wall clock; each worker track decomposes its
-        #    own process's time the same way.
+        # 3. Per-track self-time breakdown. The session track's self times
+        #    sum to its root spans' wall clock; each kernel-thread track
+        #    decomposes its own thread's time the same way.
         for track in tracer.tracks():
             phases = tracer.phase_totals(track)
             total_self_ms = sum(s.self_s for s in phases.values()) * 1e3

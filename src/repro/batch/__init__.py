@@ -8,14 +8,11 @@ no-deletion recurrence into 2-D state (``channels × reference``) and advances
 every active alignment with one set of NumPy matrix operations per chunk
 round. The subsystem is split into three layers:
 
-* :mod:`repro.batch.backends` — the pluggable **execution backends** behind a
+* :mod:`repro.batch.backends` — the **execution backend** behind a
   string-keyed registry (:func:`~repro.batch.backends.available_backends`):
-  :class:`NumpyBackend` advances the lane-stacked state in-process,
-  :class:`ShardedProcessBackend` stripes *lanes* across a persistent pool of
-  worker processes with shared-memory state blocks, and
-  :class:`ColumnShardedBackend` stripes *reference columns* across the pool
-  so even a single-channel genome-scale workload uses every core. All
-  backends are panel-aware: a multi-target
+  :class:`NumpyBackend` advances the lane-stacked state in-process, with
+  ``workers`` kernel threads splitting each round's lanes into contiguous
+  groups. It is panel-aware: a multi-target
   :class:`~repro.core.panel.TargetPanel` advances in the same wavefront and
   reduces per target;
 * :class:`BatchSDTWEngine` — the backend-agnostic **lane manager**: admission
@@ -28,15 +25,14 @@ round. The subsystem is split into three layers:
   :class:`~repro.pipeline.read_until.ReadUntilPipeline` drives whole polling
   rounds through (registered as ``"batch_squigglefilter"``).
 
-Per-lane costs are bit-identical to the per-read scalar kernels — and across
-backends — so batching and sharding are purely execution-engine changes.
+Per-lane costs are bit-identical to the per-read scalar kernels — whatever
+the thread count — so batching and threading are purely execution-engine
+changes.
 """
 
 from repro.batch.backends import (
-    ColumnShardedBackend,
     ExecutionBackend,
     NumpyBackend,
-    ShardedProcessBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -47,11 +43,9 @@ __all__ = [
     "BatchRound",
     "BatchSDTWEngine",
     "BatchSquiggleClassifier",
-    "ColumnShardedBackend",
     "ExecutionBackend",
     "LaneSnapshot",
     "NumpyBackend",
-    "ShardedProcessBackend",
     "available_backends",
     "create_backend",
     "register_backend",

@@ -45,12 +45,11 @@ class BatchSquiggleClassifier:
     in the same wavefront and terminal actions carry the per-target argmin
     (``Action.target`` / ``Action.target_costs``). ``run_config`` — a
     :class:`repro.runtime.RunConfig` — selects the execution backend the
-    engine advances lanes on (``"numpy"`` in-process when omitted,
-    ``"sharded"`` / ``"colsharded"`` across a worker-process pool — see
-    :mod:`repro.batch.backends`); decisions are bit-identical whichever
-    backend runs. Call :meth:`close` (or use the classifier as a context
-    manager) to release a multi-process backend's workers — or, better, let
-    a :class:`repro.runtime.ReadUntilSession` own the lifecycle.
+    engine advances lanes on and its kernel-thread count (``workers``; see
+    :mod:`repro.batch.backends`); decisions are bit-identical whatever the
+    thread count. Call :meth:`close` (or use the classifier as a context
+    manager) to stop the backend's threads — or, better, let a
+    :class:`repro.runtime.ReadUntilSession` own the lifecycle.
     """
 
     supports_chunk_batching = True
@@ -128,7 +127,7 @@ class BatchSquiggleClassifier:
         return self.engine.backend_name
 
     def close(self) -> None:
-        """Release the execution backend (worker processes, shared memory)."""
+        """Release the execution backend (its kernel threads)."""
         self.engine.close()
 
     def __enter__(self) -> "BatchSquiggleClassifier":
@@ -240,8 +239,9 @@ class BatchSquiggleClassifier:
         signals = [np.asarray(signal, dtype=np.float64)[:prefix] for signal in raw_signals]
         if any(signal.size == 0 for signal in signals):
             raise ValueError("cannot classify an empty signal")
-        # Calibration always runs in-process: backends are bit-identical per
-        # lane, and a one-shot sweep should not spin up a second worker pool.
+        # Calibration always runs on one thread: costs are bit-identical
+        # whatever the thread count, and a one-shot sweep should not start a
+        # second thread pool.
         with BatchSDTWEngine(self.panel, self.config, backend="numpy") as engine:
             costs: Dict[int, float] = {}
             offset = 0

@@ -17,8 +17,8 @@ Eight subcommands cover the library's main workflows without writing Python:
   (``.yaml`` works when PyYAML is installed) and/or override its fields with
   explicit flags (flags win): ``--batch`` switches onto the batched
   wavefront engine, ``--backend`` (choices generated from
-  :func:`repro.batch.available_backends`, with ``--workers N`` for the
-  multi-process backends) picks the execution backend, ``--prune`` (with ``--prune-margin``)
+  :func:`repro.batch.available_backends`) picks the execution backend and
+  ``--workers N`` its kernel-thread count, ``--prune`` (with ``--prune-margin``)
   turns on the early-abandoning sDTW pruning layer (decisions stay
   bit-identical), ``--lb-cascade`` adds the lower-bound lane gate on top of
   it, and ``--target-panel N`` screens N synthesized viral targets at once
@@ -114,21 +114,20 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("auto", *available_backends()),
         default=None,
         help="execution backend for the batched wavefront engine (choices "
-        "come straight from the backend registry, plus 'auto', which picks "
-        "one from the usable core and channel counts and turns pruning and "
-        "the lane gate on; `config-dump --resolve` prints the pick): "
-        "'numpy' advances all lanes in-process, 'sharded' stripes lanes across a worker-process "
-        "pool, 'colsharded' stripes reference columns across the pool for "
-        "genome-scale references (implies the batch classifier; decisions "
-        "are identical whichever backend runs)",
+        "come straight from the backend registry, plus 'auto', which runs "
+        "'numpy' with one kernel thread per usable core and turns pruning "
+        "and the lane gate on; `config-dump --resolve` prints the pick). "
+        "Implies the batch classifier; decisions are identical whichever "
+        "backend runs",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the multi-process backends (requires "
-        "--backend sharded or colsharded; default: one per usable core, "
-        "capped at 8)",
+        help="kernel threads for the numpy backend: each round's lanes are "
+        "split into this many contiguous groups advanced in parallel "
+        "(implies the batch classifier; default: 1, decisions are identical "
+        "at any count)",
     )
     parser.add_argument(
         "--prune",
@@ -453,8 +452,8 @@ def _command_classify(args: argparse.Namespace) -> int:
 
 
 def _command_read_until(args: argparse.Namespace) -> int:
-    # Workers-vs-backend (and every other cross-field) validation lives in
-    # RunConfig so a config file naming the backend satisfies it too.
+    # Cross-field validation lives in RunConfig so a config file's fields
+    # are checked exactly like flags.
     try:
         run_config = _resolve_run_config(args)
     except (ValueError, RuntimeError, OSError) as error:
@@ -513,6 +512,7 @@ def _command_read_until(args: argparse.Namespace) -> int:
     for flag, given in (
         ("--batch", args.batch),
         ("--backend", args.backend),
+        ("--workers", args.workers),
         ("--target-panel", args.target_panel),
         ("--config", args.config),
         ("--trace", args.trace_path),
@@ -532,6 +532,7 @@ def _command_read_until(args: argparse.Namespace) -> int:
         and (
             run_config.batch is True
             or args.backend is not None
+            or args.workers is not None
             or args.config is not None
             or panel_genomes is not None
             or run_config.tracing_enabled

@@ -27,11 +27,11 @@ kernel so the systolic array is bit-compatible with the software filter.
 The resumable recurrence also comes in a **batched** form:
 :func:`sdtw_resume_batch` stacks many lanes into a ``(lanes, reference)``
 state (:class:`BatchSDTWState`) and advances all of them with one set of
-matrix operations per wavefront step — the kernel every execution backend of
-:class:`repro.batch.BatchSDTWEngine` runs (in-process for the ``numpy``
-backend, once per shard inside each worker for the ``sharded`` backend; see
-:mod:`repro.batch.backends`). Per-lane results are bit-identical to per-read
-:func:`sdtw_resume` calls, which is what makes the backends interchangeable.
+matrix operations per wavefront step — the kernel the execution backend of
+:class:`repro.batch.BatchSDTWEngine` runs (once per round, or once per lane
+group on each kernel thread; see :mod:`repro.batch.backends`). Per-lane
+results are bit-identical to per-read :func:`sdtw_resume` calls, which is
+what makes the lane split invisible to decisions.
 The batched wavefront has two numpy paths: the generic recurrence (the
 oracle, any resumable configuration) and an ``int32`` fast path for the
 all-integer hardware data path.
@@ -73,8 +73,8 @@ class AdvanceStats:
     the pruning layer skipped — frozen columns outside the active intervals
     plus whole rounds of early-abandoned lanes. Their sum is the nominal
     brute-force work ``sum(chunk lengths) x reference columns``. Execution
-    backends accumulate one instance across rounds; workers ship per-round
-    deltas back over their reply pipes.
+    backends accumulate one instance across rounds; each kernel thread fills
+    its own and the backend merges them.
     """
 
     __slots__ = ("cells_advanced", "cells_pruned")
@@ -193,9 +193,8 @@ def int32_data_path(config: SDTWConfig) -> bool:
 
     Quantized values, absolute distance and a whole-number bonus whose
     largest credit (``match_bonus * match_bonus_cap``) stays below ``2**28``.
-    On this path the batched wavefront may run its ``int32`` kernel and the
-    multi-process backends store ``int32`` rows and runs; each call still
-    checks its own value range before taking the ``int32`` kernel.
+    On this path the batched wavefront may run its ``int32`` kernel; each
+    call still checks its own value range before taking it.
     """
     return (
         config.quantize
@@ -230,34 +229,15 @@ def normalize_block_starts(block_starts, reference_length: int) -> np.ndarray:
     return starts
 
 
-def tile_halo_start(block_starts: np.ndarray, tile_start: int, halo_width: int) -> int:
-    """Leftmost column a tile's halo must reach back to for an exact advance.
+def tile_block_starts(block_starts: np.ndarray, start: int, end: int) -> np.ndarray:
+    """Block starts of the column span ``[start, end)``, in span coordinates.
 
-    Information moves at most one column rightward per query step, so
-    ``halo_width`` (the longest chunk this round) columns suffice — and a
-    block boundary severs the dependency entirely, so the halo never has to
-    cross the nearest block start at or before the tile. This is the single
-    definition of the tiling invariant the column-sharded workers rely on.
+    Column 0 is always a start: the kernel injects the boundary sentinel
+    there regardless. :func:`_resume_batch_pruned` advances such spans and
+    explains why severing the diagonal at a mid-block span start is exact
+    below the decision bound.
     """
-    nearest_block = int(
-        block_starts[np.searchsorted(block_starts, tile_start, side="right") - 1]
-    )
-    return max(tile_start - halo_width, nearest_block)
-
-
-def tile_block_starts(
-    block_starts: np.ndarray, halo_start: int, tile_end: int
-) -> np.ndarray:
-    """Block starts of the halo-extended tile ``[halo_start, tile_end)``.
-
-    Offsets are shifted into extended-tile coordinates; column 0 is always a
-    start (the kernel injects the boundary sentinel there regardless — when
-    ``halo_start`` is mid-block, the corruption that sentinel introduces dies
-    inside the discarded halo region).
-    """
-    inside = block_starts[
-        (block_starts >= halo_start) & (block_starts < tile_end)
-    ] - halo_start
+    inside = block_starts[(block_starts >= start) & (block_starts < end)] - start
     return inside if inside.size and inside[0] == 0 else np.append(0, inside)
 
 

@@ -4,8 +4,8 @@ Three pieces, usable independently:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` with nestable spans, instant
   events, a bounded flight recorder and per-phase self-time accounting;
-  worker processes ship compact span tuples back for merging into the
-  parent timeline (``NULL_TRACER`` is the shared disabled instance the
+  kernel threads stamp compact span tuples that the calling thread merges
+  into the timeline (``NULL_TRACER`` is the shared disabled instance the
   hot paths are instrumented against).
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export,
   structural validation, and the per-phase table behind ``repro trace``.

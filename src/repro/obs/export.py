@@ -5,8 +5,8 @@ The emitted file is the JSON object form of the Chrome trace-event format
 and ``chrome://tracing``. Spans become complete events (``"ph": "X"``) with
 microsecond ``ts``/``dur`` rebased to the earliest record in the trace;
 instants become ``"ph": "i"``. Every track gets a thread id plus a
-``thread_name`` metadata event so worker timelines show up labelled
-(``sharded-worker-0``, …) under one process.
+``thread_name`` metadata event so kernel-thread timelines show up labelled
+(``numpy-thread-0``, …) under one process.
 
 :func:`validate_trace` checks the structural contract CI relies on: required
 keys per event, non-negative timings, and — per (track, depth) — spans

@@ -23,15 +23,13 @@ Design constraints, in order:
    rely on this.
 2. **Bit-identity.** Tracing observes; it never changes what the kernels
    compute. (The test suite asserts traced and untraced runs decide
-   identically on every registered backend.)
-3. **Cross-process mergeability.** Worker processes of the sharded backends
-   stamp their own compact span tuples (:func:`worker_span`, accumulated per
-   request) and ship them back over the existing reply pipes;
-   :meth:`Tracer.merge_worker_records` folds them into the parent timeline
-   under a per-worker ``track`` id. ``time.perf_counter`` is
-   ``CLOCK_MONOTONIC``-based on the platforms the worker pools run on
-   (workers are forked children of the tracing process), so parent and
-   worker timestamps share one timeline.
+   identically at every kernel-thread count.)
+3. **Mergeable worker timelines.** A tracer keeps one span stack, so code
+   running off the tracer's thread — the numpy backend's kernel threads —
+   never opens spans. It stamps compact span tuples instead
+   (:func:`worker_span`, raw :func:`time.perf_counter` readings on the
+   process-wide monotonic clock), and the owning thread folds them in with
+   :meth:`Tracer.merge_worker_records` under a per-thread ``track`` id.
 
 Tracers are single-writer like the sessions that own them: spans must close
 in LIFO order on one thread at a time (the ``with`` statement guarantees
@@ -57,9 +55,8 @@ __all__ = [
 
 _clock = time.perf_counter
 
-# Compact wire format for spans recorded inside worker processes:
-# (name, start_s, duration_s, self_s, depth). Plain tuples of floats pickle
-# fast and keep the reply-pipe payload small.
+# Compact form of a span recorded off the tracer's thread:
+# (name, start_s, duration_s, self_s, depth).
 WorkerSpan = Tuple[str, float, float, float, int]
 
 
@@ -243,9 +240,9 @@ class Tracer:
     ) -> None:
         """Fold worker-side span tuples into the recorder under ``track``.
 
-        Worker clock readings are raw :func:`time.perf_counter` values from
-        a forked child of this process, so they land on the parent timeline
-        unadjusted. Worker phases are accounted in :meth:`phase_totals`
+        Worker clock readings are raw :func:`time.perf_counter` values taken
+        in this process, so they land on the timeline unadjusted. Worker
+        phases are accounted in :meth:`phase_totals`
         alongside parent phases (they live on a different track, so the
         track-level decomposition invariant applies per track).
         """

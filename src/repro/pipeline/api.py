@@ -572,9 +572,8 @@ def build_pipeline(spec: Any) -> "Any":
         reports per-target accept counts.
     ``backend`` / ``workers``
         Execution backend for a batch-capable classifier's engine (any name
-        in :func:`repro.batch.available_backends`: ``"numpy"`` in-process,
-        ``"sharded"`` lanes across a worker-process pool, ``"colsharded"``
-        reference columns across the pool; ``workers: N`` sizes the pools).
+        in :func:`repro.batch.available_backends`, or ``"auto"``;
+        ``workers: N`` splits each round's lanes over N kernel threads).
         These keys are folded into a :class:`repro.runtime.RunConfig` handed
         to the classifier factory as ``run_config``, so the chosen classifier
         must accept it (``"batch_squigglefilter"`` does).

@@ -5,7 +5,7 @@ across method kwargs, ``build_pipeline`` spec keys and CLI flags that all
 named the same things differently.
 :class:`RunConfig` is the single declarative description — what to align
 against, which kernel configuration, which thresholds, which execution
-backend with how many workers, how many channels — that
+backend with how many kernel threads, how many channels — that
 :func:`repro.runtime.open_session`, :func:`repro.pipeline.api.build_pipeline`,
 the CLI (``repro read-until --config run.json`` / ``repro config-dump``) and
 the benchmarks all construct and consume.
@@ -19,8 +19,8 @@ The only non-serializable escape hatch is ``reference``: a prebuilt
 it so a dumped config never silently loses its reference).
 
 ``backend="auto"`` is resolved by :func:`resolve_auto`, a fixed rule over
-the usable core count and the channel count; sessions, the serving layer
-and ``repro config-dump --resolve`` all call it when a session is opened.
+the usable core count; sessions, the serving layer and
+``repro config-dump --resolve`` all call it when a session is opened.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from typing import Any, Dict, Mapping, Optional, Union
 from repro.core.config import SDTWConfig
 
 __all__ = ["RunConfig", "load_config_mapping", "resolve_auto"]
-
-# The built-in execution backends that take a worker count, and the
-# in-process ones that reject it; user-registered backends pass unchecked.
-_WORKER_BACKENDS = ("sharded", "colsharded")
-_IN_PROCESS_BACKENDS = ("numpy",)
 
 
 @dataclass(frozen=True)
@@ -83,10 +78,11 @@ class RunConfig:
     backend / workers:
         Execution backend for the batched engine (any name in
         :func:`repro.batch.available_backends`, or ``"auto"`` for the fixed
-        rule of :func:`resolve_auto`). ``workers`` sizes the multi-process
-        pools (default: one per usable core, capped at 8).
-        ``backend="auto"`` picks the backend and workers itself, so it
-        rejects a ``workers`` value.
+        rule of :func:`resolve_auto`). ``workers`` is the numpy backend's
+        kernel-thread count: each round's lanes are split into that many
+        contiguous groups advanced in parallel (default: one thread, the
+        calling one). ``backend="auto"`` picks the thread count itself, so
+        it rejects a ``workers`` value.
     prune / prune_margin:
         Pruning layer of the sDTW wavefront (early abandoning +
         active-column intervals). Off by default — brute force preserved
@@ -100,10 +96,9 @@ class RunConfig:
         The lower-bound lane gate on top of ``prune`` (requires it): a
         cascade of conservative lower bounds (an LB_Kim-style extrema
         bound, then an LB_Keogh-style per-target envelope bound) lets
-        whole lanes skip their wavefront advance — before dispatch, so
-        skipped lanes never cross worker pipes — once no continuation
-        could ever decide differently. Decisions stay bit-identical to
-        brute force.
+        whole lanes skip their wavefront advance — before dispatch — once
+        no continuation could ever decide differently. Decisions stay
+        bit-identical to brute force.
     """
 
     genome: Optional[str] = None
@@ -158,15 +153,10 @@ class RunConfig:
         object.__setattr__(self, "backend", backend)
         if self.workers is not None and self.workers <= 0:
             raise ValueError(f"workers: must be positive, got {self.workers}")
-        if self.workers is not None and self.backend in _IN_PROCESS_BACKENDS:
-            raise ValueError(
-                f"workers: only the multi-process backends ({', '.join(_WORKER_BACKENDS)}) "
-                f"take a worker count, not {self.backend!r}"
-            )
         if self.backend == "auto" and self.workers is not None:
             raise ValueError(
-                "workers: backend='auto' picks the worker count itself; "
-                "pin the backend to set them by hand"
+                "workers: backend='auto' picks the thread count itself; "
+                "pin the backend to set it by hand"
             )
         if self.prune_margin < 0:
             raise ValueError(f"prune_margin: must be non-negative, got {self.prune_margin}")
@@ -288,26 +278,19 @@ class RunConfig:
 def resolve_auto(config: RunConfig) -> RunConfig:
     """The concrete config ``backend="auto"`` runs as; pinned configs pass through.
 
-    With ``w`` from :func:`repro.batch.backends.default_workers` (usable
-    cores, capped at 8) the rule is: ``numpy`` when ``w < 2``; else
-    ``sharded`` with ``w`` workers when there are at least ``w`` channels to
-    stripe lanes across; else ``colsharded`` with ``w`` workers, which
-    stripes reference columns instead. ``prune`` and ``lb_cascade`` are
-    always turned on, never off: both keep every decision bit-identical to
-    brute force. Resolving builds no engine and writes no file.
+    The rule: the ``numpy`` backend with ``workers`` from
+    :func:`repro.batch.backends.default_workers` (usable cores, capped at 8),
+    whatever the channel count, and ``prune`` and ``lb_cascade`` always on —
+    both keep every decision bit-identical to brute force. Resolving builds
+    no engine and writes no file.
     """
     if config.backend != "auto":
         return config
     from repro.batch.backends import default_workers  # deferred: keeps core importable
 
-    workers: Optional[int] = default_workers()
-    if workers < 2:
-        backend, workers = "numpy", None
-    elif config.n_channels >= workers:
-        backend = "sharded"
-    else:
-        backend = "colsharded"
-    return config.with_(backend=backend, workers=workers, prune=True, lb_cascade=True)
+    return config.with_(
+        backend="numpy", workers=default_workers(), prune=True, lb_cascade=True
+    )
 
 
 def _require_yaml(path: Path) -> Any:

@@ -5,14 +5,14 @@
 and the CLI drive. The session owns what used to be managed ad hoc at every
 call site:
 
-* **lazy backend creation** — nothing is spawned at ``open_session``; the
-  classifier, engine and execution backend (worker pools, shared memory)
-  come up on the first chunk submitted. ``backend="auto"`` is resolved at
-  open by :func:`~repro.runtime.config.resolve_auto`'s fixed rule, so the
-  backend is concrete before anything spawns;
+* **lazy backend creation** — nothing is built at ``open_session``; the
+  classifier, engine and execution backend (with its kernel threads) come
+  up on the first chunk submitted. ``backend="auto"`` is resolved at open
+  by :func:`~repro.runtime.config.resolve_auto`'s fixed rule, so the
+  backend is concrete before anything starts;
 * **engine lifecycle** — the session is a context manager, ``close()`` is
-  idempotent, a failure inside a round closes the session (no leaked worker
-  pools when a run dies mid-stream), and any use after ``close()`` raises;
+  idempotent, a failure inside a round closes the session (no leaked
+  threads when a run dies mid-stream), and any use after ``close()`` raises;
 * **one streaming interface** — ``submit(round_chunks) -> decisions`` feeds
   one polling round through the batched wavefront; ``summary()`` reports the
   session's decision tallies and engine occupancy.
@@ -23,8 +23,8 @@ The session also speaks the
 :class:`~repro.pipeline.read_until.ReadUntilPipeline` accepts it directly —
 the pipeline, a benchmark loop calling :meth:`submit`, and the CLI are all
 the same code path underneath. Decisions are bit-identical to driving the
-pre-session entry points with the same configuration, whichever execution
-backend the config names.
+pre-session entry points with the same configuration, whatever thread count
+the config names.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def open_session(config: RunConfig) -> "ReadUntilSession":
 class ReadUntilSession:
     """Streaming Read Until runtime for one :class:`RunConfig`.
 
-    Use as a context manager (the backend's worker pools and shared memory
-    are released on exit, including exceptional exit), or call
+    Use as a context manager (the backend's kernel threads are stopped on
+    exit, including exceptional exit), or call
     :meth:`close` explicitly. A session whose round raises is closed on the
     spot — abandoning it cannot leak backend resources — and every
     interaction after ``close()`` raises :class:`SessionClosedError`.
@@ -231,9 +231,9 @@ class ReadUntilSession:
     def on_chunk_batch(self, chunks: Sequence["SignalChunk"]) -> List["Action"]:
         """Classify one polling round (the pipeline's fast path).
 
-        Any failure inside the round — a worker crash, an overflow, a bad
-        chunk — closes the session before propagating, so an abandoned run
-        never leaks worker pools or shared memory.
+        Any failure inside the round — an overflow, a bad chunk — closes the
+        session before propagating, so an abandoned run never leaks the
+        backend's threads.
         """
         self._acquire_writer("round submission")
         try:
@@ -342,8 +342,9 @@ class ReadUntilSession:
         """Flight-recorder snapshot: every recorded span/instant, oldest first.
 
         Empty unless the config enables tracing (``trace=True`` or a
-        ``trace_path``). Worker-side spans of the multi-process backends
-        appear under their own track ids (``sharded-worker-0``, …).
+        ``trace_path``). When ``workers`` splits a round's lanes, each kernel
+        thread's spans appear under its own track id (``numpy-thread-0``,
+        …).
         """
         return self._tracer.records()
 
@@ -422,7 +423,7 @@ class ReadUntilSession:
                     write_chrome_trace(self._tracer, self.config.trace_path, metadata=metadata)
             finally:
                 # An unwritable trace path must never leak the backend's
-                # worker pools; the export error propagates after teardown.
+                # threads; the export error propagates after teardown.
                 if self._classifier is not None:
                     self._classifier.close()
 

@@ -9,7 +9,7 @@ advance (admission control, per-tenant round-robin fairness, ``429`` +
 ``Retry-After`` backpressure at saturation). ``/health`` and a
 Prometheus-style ``/metrics`` expose per-round latency percentiles, lane
 occupancy, per-target accept counts and pool queue depth; shutdown drains
-gracefully through the hardened worker-pool teardown.
+gracefully by closing every session, which stops its backend's threads.
 
 The transport is dependency-free (stdlib asyncio HTTP). Decisions served
 over the wire are bit-identical to local :func:`~repro.runtime.open_session`

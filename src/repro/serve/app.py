@@ -23,12 +23,14 @@ concurrent round -> 409, pool saturation -> 429 with a ``Retry-After``
 header (admission control, not failure — clients retry and no round is
 ever dropped), draining -> 503. On the stdlib transport a malformed or
 negative ``Content-Length`` gets 400 and a body above :data:`MAX_BODY_BYTES`
-gets 413; both close the connection without reading the body.
+gets 413; both close the connection without reading the body. A request
+head over :data:`MAX_HEADER_BYTES` or with more than
+:data:`MAX_HEADER_LINES` header lines gets 431 and the connection closes.
 
 Graceful shutdown (:meth:`ServeServer.shutdown`) drains in order: stop
 admitting requests, let queued rounds finish, close every session (which
-releases execution backends through the hardened worker-pool teardown),
-then close the listening socket.
+stops each execution backend's kernel threads), then close the listening
+socket.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -70,6 +73,13 @@ _REASONS = {
 # channels x 4,000 samples is about 20 MB of JSON, so 64 MiB is far above any
 # real round while still bounding what one request can make the server hold.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+# Largest request head (request line plus header lines) and most header lines
+# the stdlib transport reads. The clients send a handful of short headers;
+# without a cap, one connection could make the server store headers without
+# end.
+MAX_HEADER_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
 
 
 class _FramingError(Exception):
@@ -250,7 +260,7 @@ class ServeServer:
 
     async def shutdown(self) -> None:
         """Drain gracefully: refuse new work, finish the backlog, close all
-        sessions (hardened worker-pool teardown underneath), stop listening."""
+        sessions (stopping their backends' threads), stop listening."""
         self.app.draining = True
         await self.pool.close(drain=True)
         await self.manager.drain()
@@ -288,12 +298,7 @@ class ServeServer:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.LimitOverrunError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass  # the peer went away mid-request; nothing to answer
         except asyncio.CancelledError:
             pass  # shutdown cancelled an idle keep-alive connection
@@ -310,18 +315,26 @@ class ServeServer:
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    request_line = await reader.readline()
+    request_line = await _read_head_line(reader, 0)
     if not request_line or request_line in (b"\r\n", b"\n"):
         return None
     try:
         method, target, _version = request_line.decode("latin-1").split(None, 2)
     except ValueError:
         return None
+    head_bytes = len(request_line)
     headers: Dict[str, str] = {}
+    n_lines = 0
     while True:
-        line = await reader.readline()
+        line = await _read_head_line(reader, head_bytes)
         if line in (b"\r\n", b"\n", b""):
             break
+        head_bytes += len(line)
+        n_lines += 1
+        if n_lines > MAX_HEADER_LINES:
+            raise _FramingError(
+                431, f"headers: more than {MAX_HEADER_LINES} header lines"
+            )
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     raw_length = headers.get("content-length", "0") or "0"
@@ -340,6 +353,21 @@ async def _read_request(
     body = await reader.readexactly(length) if length else b""
     path = target.split("?", 1)[0]
     return method, path, headers, body
+
+
+async def _read_head_line(reader: asyncio.StreamReader, head_bytes: int) -> bytes:
+    """One line of the request head; 431 once the head passes its byte cap."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # StreamReader.readline raises this for a line beyond its own 64 KiB
+        # buffer limit, a head over the cap whatever else it holds.
+        line = None
+    if line is None or head_bytes + len(line) > MAX_HEADER_BYTES:
+        raise _FramingError(
+            431, f"headers: the request head exceeds the {MAX_HEADER_BYTES}-byte limit"
+        )
+    return line
 
 
 def _write_response(

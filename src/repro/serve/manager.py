@@ -20,8 +20,7 @@ lifecycle keyed by session id:
   :class:`~repro.serve.pool.BackendPool`, and folds the outcome into the
   metrics registry;
 * **close** captures the final summary before the session releases its
-  execution backend (summaries are unavailable after close), reusing the
-  hardened worker-pool teardown underneath.
+  execution backend (summaries are unavailable after close).
 
 Wire format: chunks arrive as ``{"read_id", "signal", "chunk_start_sample",
 "channel", "read_number", "is_last"}`` mappings; actions return every
@@ -39,6 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.batch.backends import default_workers
 from repro.pipeline.api import Action
 from repro.runtime import ReadUntilSession, RunConfig, open_session
 from repro.obs.metrics import MetricsRegistry
@@ -209,6 +209,9 @@ class SessionManager:
         wherever it points when it closes. Nor may a session serve more
         channels than one MinION flow cell has: each channel's read holds
         a lane of per-column state, so ``n_channels`` bounds its memory.
+        Nor may it ask for more kernel threads than
+        :func:`~repro.batch.backends.default_workers` (usable cores, capped
+        at 8): every session's backend starts its own thread pool.
         """
         merged: Dict[str, Any] = dict(self.default_config or {})
         if config is not None:
@@ -234,6 +237,12 @@ class SessionManager:
             raise ValueError(
                 f"n_channels: a served session may have at most {flow_cell} "
                 f"channels (one MinION flow cell), got {resolved.n_channels}"
+            )
+        cores = default_workers()
+        if resolved.workers is not None and resolved.workers > cores:
+            raise ValueError(
+                f"workers: a served session may run at most {cores} kernel "
+                f"threads (usable cores, capped at 8), got {resolved.workers}"
             )
         return resolved
 

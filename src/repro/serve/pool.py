@@ -21,8 +21,7 @@ starve a tenant that submits occasionally.
 
 :meth:`close` supports graceful draining: new admissions fail immediately
 while queued and in-flight rounds run to completion, after which the
-executor shuts down — the layer above then closes each session, reusing the
-hardened worker-pool teardown underneath.
+executor shuts down — the layer above then closes each session.
 """
 
 from __future__ import annotations

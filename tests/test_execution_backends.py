@@ -1,11 +1,15 @@
 """Tests for the pluggable execution-backend layer (`repro.batch.backends`).
 
-The contract under test: the lane manager (:class:`BatchSDTWEngine`) treats
-backends as interchangeable — every cost, row, snapshot and Read Until
-decision is bit-identical whether the lane-stacked state advances in-process
-(``numpy``) or striped across worker processes (``sharded``), across lane
-churn, capacity growth and ragged chunk schedules.
+The contract under test: every cost, row, snapshot and Read Until decision
+is bit-identical whether the numpy backend advances a round's lanes on the
+calling thread or splits them over ``workers`` kernel threads (two threads,
+and three for uneven groups and rounds with fewer lanes than threads),
+across lane churn, capacity growth and ragged chunk schedules.
 """
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.batch.backends import (
-    ColumnShardedBackend,
     NumpyBackend,
-    ShardedProcessBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -30,12 +32,14 @@ from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import RunConfig
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# (backend name, factory options) pairs every backend-agnostic test runs over.
-BACKENDS = [("numpy", None), ("sharded", {"workers": 2})]
+# (backend name, factory options) pairs every backend-agnostic test runs over:
+# one thread, two, and three (uneven groups; rounds with fewer lanes than
+# threads).
+BACKENDS = [("numpy", None), ("numpy", {"workers": 2}), ("numpy", {"workers": 3})]
 
-# Configuration classes with distinct execution paths: the int32 shared-memory
-# fast path, a no-bonus integer config, a float config, a fractional bonus.
-SHARDED_CONFIGS = [
+# Configuration classes with distinct execution paths: the int32 fast path, a
+# no-bonus integer config, a float config, a fractional bonus.
+KERNEL_CONFIGS = [
     SDTWConfig.hardware(),
     SDTWConfig(distance="absolute", allow_reference_deletions=False, quantize=True, match_bonus=0.0),
     SDTWConfig(distance="squared", allow_reference_deletions=False, quantize=False, match_bonus=0.0),
@@ -52,8 +56,7 @@ def make_engine(reference, config=None, backend="numpy", options=None, **kwargs)
 # ------------------------------------------------------------------ registry
 class TestBackendRegistry:
     def test_all_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names and "sharded" in names and "colsharded" in names
+        assert available_backends() == ("numpy",)
 
     def test_create_by_name(self, rng):
         reference = rng.integers(-127, 128, 30)
@@ -88,9 +91,9 @@ class TestBackendRegistry:
 
     def test_engine_reports_backend_name(self, rng):
         reference = rng.integers(-127, 128, 30)
-        with make_engine(reference, backend="sharded", options={"workers": 2}) as engine:
-            assert engine.backend_name == "sharded"
-            assert engine.backend.n_workers == 2
+        with make_engine(reference, backend="numpy", options={"workers": 2}) as engine:
+            assert engine.backend_name == "numpy"
+            assert engine.backend.workers == 2
 
 
 # -------------------------------------------------------------- bit identity
@@ -108,9 +111,10 @@ _PROPERTY_REFERENCE = np.random.default_rng(20260728).integers(-127, 128, 60)
 class TestBackendBitIdentity:
     @backend_settings
     @given(queries=lane_queries, data=st.data())
-    def test_sharded_matches_numpy_and_scalar_over_ragged_rounds(self, queries, data):
-        """The acceptance property: identical rows/costs/ends on every backend
-        across ragged chunk schedules, including admissions mid-session."""
+    def test_threads_match_scalar_over_ragged_rounds(self, queries, data):
+        """The acceptance property: identical rows/costs/ends at every thread
+        count across ragged chunk schedules, including admissions
+        mid-session."""
         n_rounds = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
@@ -157,8 +161,8 @@ class TestBackendBitIdentity:
             for engine in engines:
                 engine.close()
 
-    @pytest.mark.parametrize("config", SHARDED_CONFIGS)
-    def test_sharded_matches_scalar_across_configs(self, config, rng):
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_threads_match_scalar_per_config(self, config, rng):
         reference = (
             rng.integers(-127, 128, 80) if config.quantize else rng.normal(size=80)
         )
@@ -169,7 +173,7 @@ class TestBackendBitIdentity:
             for n in (5, 17, 31)
         ]
         with make_engine(
-            reference, config, backend="sharded", options={"workers": 2}
+            reference, config, backend="numpy", options={"workers": 2}
         ) as engine:
             scalar = [None] * len(queries)
             for start in range(0, 31, 11):
@@ -185,13 +189,12 @@ class TestBackendBitIdentity:
                 assert np.array_equal(state.row, scalar[lane].row)
                 assert state.samples_processed == scalar[lane].samples_processed
 
-    @pytest.mark.parametrize("backend,options", [*BACKENDS, ("colsharded", {"workers": 2})])
+    @pytest.mark.parametrize("backend,options", BACKENDS)
     def test_bonus_credit_beyond_int32_rule_identical_on_every_backend(
         self, backend, options, rng
     ):
-        """A capped bonus credit of 2**29 is off the int32 data path for the
-        kernel and for shared-memory storage alike, so rows far beyond int32
-        advance exactly on every backend."""
+        """A capped bonus credit of 2**29 is off the int32 data path, so rows
+        far beyond int32 advance exactly at every thread count."""
         config = SDTWConfig(
             quantize=True,
             distance="absolute",
@@ -338,22 +341,26 @@ class TestIdleRounds:
 class TestBackendLifecycle:
     def test_close_is_idempotent_and_final(self, rng):
         reference = rng.integers(-127, 128, 30)
-        engine = make_engine(reference, backend="sharded", options={"workers": 2})
-        engine.step([("a", rng.integers(-127, 128, 5))])
+        engine = make_engine(reference, backend="numpy", options={"workers": 2})
+        before = set(threading.enumerate())
+        engine.step([(key, rng.integers(-127, 128, 5)) for key in ("a", "b")])
+        pool_threads = set(threading.enumerate()) - before
+        assert pool_threads  # the two-lane round started the pool's threads
         engine.close()
         engine.close()
+        for thread in pool_threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
         with pytest.raises(RuntimeError, match="closed"):
             engine.backend.advance(np.array([0]), [rng.integers(-127, 128, 3)])
 
     def test_engine_owns_created_backend_but_borrows_instances(self, rng):
         reference = rng.integers(-127, 128, 30)
-        backend = ShardedProcessBackend(
-            reference, SDTWConfig.hardware(), capacity=4, workers=2
-        )
+        backend = NumpyBackend(reference, SDTWConfig.hardware(), capacity=4, workers=2)
         engine = make_engine(reference, backend=backend)
         engine.close()  # borrowed: must NOT shut the backend down
-        costs, _ = backend.advance(np.array([0]), [rng.integers(-127, 128, 3)])
-        assert costs.shape == (1, 1)  # (lanes, panel blocks)
+        costs, _ = backend.advance(np.array([0, 1]), [rng.integers(-127, 128, 3)] * 2)
+        assert costs.shape == (2, 1)  # (lanes, panel blocks)
         backend.close()
 
     def test_classifier_close_releases_engine(self, reference_squiggle):
@@ -361,88 +368,84 @@ class TestBackendLifecycle:
             reference_squiggle,
             threshold=1e9,
             prefix_samples=400,
-            run_config=RunConfig(backend="sharded", workers=2),
+            run_config=RunConfig(workers=2),
         )
-        assert classifier.backend_name == "sharded"
+        assert classifier.backend_name == "numpy"
+        assert classifier.engine.backend.workers == 2
         classifier.close()
         with pytest.raises(RuntimeError, match="closed"):
             classifier.engine.backend.advance(np.array([0]), [np.arange(3)])
 
-    def test_advance_error_does_not_desync_the_reply_protocol(self, rng):
-        """A failing shard must not leave other shards' replies unread: the
-        next advance would otherwise consume a stale reply and return the
-        previous round's costs for this round's lanes."""
-        reference = rng.integers(-127, 128, 40)
-        config = SDTWConfig.hardware()
-        backend = ShardedProcessBackend(reference, config, capacity=2, workers=2)
-        try:
-            good = rng.integers(-127, 128, 8)
-            bad = rng.integers(-127, 128, (2, 2))  # 2-D: the kernel rejects it
-            with pytest.raises(RuntimeError, match="failed"):
-                backend.advance(np.array([0, 1]), [bad, good])
-            # Shard 1 already applied the round; the pipes are back in sync,
-            # so continuing on the healthy lanes yields exact results.
-            follow_up = rng.integers(-127, 128, 5)
-            costs, ends = backend.advance(np.array([1]), [follow_up])
-            expected = sdtw_resume(
-                follow_up, reference, config, state=sdtw_resume(good, reference, config)
-            )
-            assert costs[0, 0] == expected.cost
-            assert ends[0, 0] == expected.end_position
-        finally:
-            backend.close()
-
-    def test_sharded_workers_must_be_positive(self, rng):
+    def test_workers_must_be_positive(self, rng):
         with pytest.raises(ValueError, match="workers"):
-            ShardedProcessBackend(
+            NumpyBackend(
                 rng.integers(-127, 128, 20), SDTWConfig.hardware(), capacity=2, workers=0
             )
 
-    @pytest.mark.parametrize("cls", [ShardedProcessBackend, ColumnShardedBackend])
-    def test_close_after_abandoned_round_and_dead_worker(self, cls, rng):
-        """Regression (teardown robustness): a session abandoned mid-round —
-        one shard holding an unconsumed (error) reply, another shard's
-        process dead — must close without hanging and unlink every
-        shared-memory segment."""
-        import time
-        from multiprocessing import shared_memory
 
+# --------------------------------------------------------------- thread groups
+class TestThreadGroups:
+    def test_group_error_surfaces_after_every_group_finished(self, rng, monkeypatch):
+        """A group that raises must not surface while another group still
+        writes lane state; the backend then keeps advancing exact rounds."""
+        import repro.batch.backends as backends_module
+
+        kernel = backends_module.sdtw_resume_batch
+
+        def slow_healthy_groups(queries, *args, **kwargs):
+            if all(np.ndim(query) == 1 for query in queries):
+                time.sleep(0.2)  # finishes well after the failing group raised
+            return kernel(queries, *args, **kwargs)
+
+        monkeypatch.setattr(backends_module, "sdtw_resume_batch", slow_healthy_groups)
         reference = rng.integers(-127, 128, 40)
-        backend = cls(reference, SDTWConfig.hardware(), capacity=4, workers=2)
-        backend.stop_timeout_s = 3.0
-        block_names = [block.name for block in backend._blocks]
-        # Abandon a round mid-flight: a malformed request the worker answers
-        # with an error reply nobody consumes...
-        backend._conns[0].send(("advance", "garbage"))
-        time.sleep(0.2)
-        # ...while the other worker dies outright.
-        backend._processes[1].kill()
-        backend._processes[1].join(timeout=5.0)
-        start = time.monotonic()
-        backend.close()
-        assert time.monotonic() - start < 10.0
-        for name in block_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        backend.close()  # still idempotent after the messy teardown
+        config = SDTWConfig.hardware()
+        backend = NumpyBackend(reference, config, capacity=2, workers=2)
+        try:
+            good = rng.integers(-127, 128, 8)
+            bad = rng.integers(-127, 128, (2, 2))  # 2-D: the kernel rejects it
+            with pytest.raises(ValueError, match="1-D"):
+                backend.advance(np.array([0, 1]), [bad, good])
+            expected = sdtw_resume(good, reference, config)
+            assert np.array_equal(backend.gather(np.array([1])).rows[0], expected.row)
 
-    def test_close_after_worker_exception_mid_round(self, rng):
-        """A shard that raised during advance leaves the protocol desynced
-        for that round; close() must still drain it and release cleanly."""
-        from multiprocessing import shared_memory
+            backend.reset(np.array([0]))
+            fresh, follow_up = rng.integers(-127, 128, (2, 5))
+            costs, ends = backend.advance(np.array([0, 1]), [fresh, follow_up])
+            for lane, state in enumerate(
+                (
+                    sdtw_resume(fresh, reference, config),
+                    sdtw_resume(follow_up, reference, config, state=expected),
+                )
+            ):
+                assert costs[lane, 0] == state.cost
+                assert ends[lane, 0] == state.end_position
+        finally:
+            backend.close()
 
-        reference = rng.integers(-127, 128, 40)
-        backend = ShardedProcessBackend(
-            reference, SDTWConfig.hardware(), capacity=2, workers=2
-        )
-        block_names = [block.name for block in backend._blocks]
-        bad = rng.integers(-127, 128, (2, 2))  # 2-D: the kernel rejects it
-        with pytest.raises(RuntimeError, match="failed"):
-            backend.advance(np.array([0, 1]), [bad, bad])
-        backend.close()
-        for name in block_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+    def test_more_threads_than_cores_lose_no_update(self, rng):
+        """Eight threads with a tiny switch interval: every row and the merged
+        cell count match one thread's, round after round."""
+        reference = rng.integers(-127, 128, 64)
+        config = SDTWConfig.hardware()
+        single = NumpyBackend(reference, config, capacity=24)
+        threaded = NumpyBackend(reference, config, capacity=24, workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(6):
+                lanes = np.sort(rng.choice(24, size=int(rng.integers(2, 25)), replace=False))
+                queries = [rng.integers(-127, 128, int(n)) for n in rng.integers(0, 9, lanes.size)]
+                expected = single.advance(lanes, queries)
+                got = threaded.advance(lanes, queries)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+                assert threaded.stats.cells_advanced == single.stats.cells_advanced
+            everything = np.arange(24)
+            assert np.array_equal(threaded.gather(everything).rows, single.gather(everything).rows)
+        finally:
+            sys.setswitchinterval(interval)
+            single.close()
+            threaded.close()
 
 
 # ------------------------------------------------------- pipeline + spec + CLI
@@ -470,8 +473,8 @@ class TestShardedPipeline:
         self, reference_squiggle, target_genome, backend_threshold, backend_flowcell_reads
     ):
         """Acceptance: bit-identical accept/eject decisions on the seeded
-        8-channel flowcell, numpy vs sharded."""
-        decisions = {}
+        8-channel flowcell at every thread count."""
+        decisions = []
         for backend, options in BACKENDS:
             with BatchSquiggleClassifier(
                 reference_squiggle,
@@ -488,22 +491,24 @@ class TestShardedPipeline:
                     batch=True,
                 ).run(backend_flowcell_reads)
             assert result.streaming["backend"] == backend
-            decisions[backend] = {
-                outcome.read.read_id: (
-                    outcome.ejected,
-                    outcome.decision.cost if outcome.decision else None,
-                    outcome.decision.samples_used if outcome.decision else None,
-                )
-                for outcome in result.session.outcomes
-            }
-        assert decisions["sharded"] == decisions["numpy"]
-        assert len(decisions["numpy"]) == len(backend_flowcell_reads)
+            decisions.append(
+                {
+                    outcome.read.read_id: (
+                        outcome.ejected,
+                        outcome.decision.cost if outcome.decision else None,
+                        outcome.decision.samples_used if outcome.decision else None,
+                    )
+                    for outcome in result.session.outcomes
+                }
+            )
+        assert all(other == decisions[0] for other in decisions[1:])
+        assert len(decisions[0]) == len(backend_flowcell_reads)
 
     def test_seeded_flowcell_decisions_identical_with_pruning(
         self, reference_squiggle, target_genome, backend_threshold, backend_flowcell_reads
     ):
-        """Acceptance: with the pruning layer on, every backend still makes
-        the seeded flowcell's accept/eject decisions bit-identically to the
+        """Acceptance: with the pruning layer on, every thread count still
+        makes the seeded flowcell's accept/eject decisions bit-identically to the
         brute-force numpy run (accepted reads keep their exact cost; ejected
         reads may report a stale above-threshold cost, so only the decision
         and sample count are compared there)."""
@@ -533,25 +538,20 @@ class TestShardedPipeline:
         ) as classifier:
             brute = run_flowcell(classifier)
 
-        pruned_backends = [
-            ("numpy", {}),
-            ("sharded", {"workers": 2}),
-            ("colsharded", {"workers": 2}),
-        ]
-        for backend, fields in pruned_backends:
+        for backend, options in BACKENDS:
             config = RunConfig(
                 reference=reference_squiggle,
                 threshold=backend_threshold,
                 prefix_samples=800,
                 backend=backend,
                 prune=True,
-                **fields,
+                **(options or {}),
             )
             with BatchSquiggleClassifier(
                 reference_squiggle, run_config=config
             ) as classifier:
                 pruned = run_flowcell(classifier)
-            assert pruned == brute, backend
+            assert pruned == brute, options
             assert classifier.engine.cells_pruned >= 0
 
     def test_build_pipeline_backend_key(
@@ -566,16 +566,17 @@ class TestShardedPipeline:
                     "prefix_samples": 800,
                 },
                 "target_genome": target_genome,
-                "backend": "sharded",
+                "backend": "numpy",
                 "workers": 2,
                 "batch": True,
                 "assemble": False,
             }
         )
         try:
-            assert pipeline.classifier.backend_name == "sharded"
+            assert pipeline.classifier.backend_name == "numpy"
+            assert pipeline.classifier.engine.backend.workers == 2
             result = pipeline.run(backend_flowcell_reads[:8])
-            assert result.streaming["backend"] == "sharded"
+            assert result.streaming["backend"] == "numpy"
             assert result.streaming["batched"] is True
         finally:
             pipeline.classifier.close()
@@ -592,14 +593,16 @@ class TestCliBackend:
         "--prefix-samples", "500",
     ]
 
-    def test_backend_flag_runs_sharded_session(self, capsys):
+    def test_workers_flag_runs_threaded_session(self, capsys):
+        """--workers alone takes the session path, like --backend: on the
+        default classifier it must not be silently ignored."""
         from repro.cli import main
 
-        exit_code = main(self.CLI_ARGS + ["--backend", "sharded", "--workers", "2"])
+        exit_code = main(self.CLI_ARGS + ["--workers", "2"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "batch_squigglefilter" in output
-        assert "sharded" in output
+        assert "numpy" in output
 
     def test_backend_flag_implies_batch_classifier(self, capsys):
         from repro.cli import main
@@ -609,32 +612,35 @@ class TestCliBackend:
         assert "batch_squigglefilter" in output
         assert "numpy" in output
 
-    def test_workers_require_sharded_backend(self, capsys):
-        from repro.cli import main
-
-        # RunConfig validation owns the cross-field check now, so the error
-        # names the offending field instead of a flag.
-        assert main(self.CLI_ARGS + ["--workers", "2"]) == 2
-        assert "workers" in capsys.readouterr().err
-
     def test_workers_flag_combines_with_config_file_backend(self, tmp_path, capsys):
-        """Regression: --workers without --backend is valid when the config
-        file names a multi-process backend."""
+        """--workers without --backend overlays the backend a config file
+        names."""
         import json
 
         from repro.cli import main
 
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"backend": "sharded"}))
+        path.write_text(json.dumps({"backend": "numpy"}))
         exit_code = main(
             self.CLI_ARGS + ["--config", str(path), "--workers", "2"]
         )
         assert exit_code == 0
-        assert "sharded" in capsys.readouterr().out
+        assert "numpy" in capsys.readouterr().out
 
     def test_backend_requires_squigglefilter_family(self, capsys):
         from repro.cli import main
 
-        exit_code = main(["read-until", "--backend", "sharded", "--classifier", "multistage"])
-        assert exit_code == 2
-        assert "--backend requires" in capsys.readouterr().err
+        for flag, value in (("--backend", "numpy"), ("--workers", "2")):
+            exit_code = main(["read-until", flag, value, "--classifier", "multistage"])
+            assert exit_code == 2
+            assert f"{flag} requires" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sharded", "colsharded"])
+    def test_removed_process_backends_rejected(self, name, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["read-until", "--backend", name])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "numpy" in err

@@ -13,11 +13,11 @@ Four layers, mirroring the subsystem:
   subcommand prints.
 * **Metrics** — the Prometheus escaping fix (backslash/quote/newline in
   label values).
-* **Sessions** — the acceptance property: on every registered execution
-  backend, a traced seeded flowcell decides bit-identically to an
-  untraced one; traced runs surface ``session.trace()``, per-phase
-  summary totals, distinct worker-process tracks under the sharded
-  backends, and a valid exported trace file via ``trace_path``.
+* **Sessions** — the acceptance property: at every kernel-thread count, a
+  traced seeded flowcell decides bit-identically to an untraced one;
+  traced runs surface ``session.trace()``, per-phase summary totals, one
+  track per kernel thread when ``workers`` splits the lanes, and a valid
+  exported trace file via ``trace_path``.
 """
 
 import json
@@ -43,11 +43,10 @@ from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 # Same matrix as tests/test_runtime_session.py.
 OBS_BACKENDS = [
     ("numpy", {}),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3}),
 ]
-
-WORKER_BACKENDS = {"sharded", "colsharded"}
+OBS_IDS = ["numpy", "numpy-workers2", "numpy-workers3"]
 
 
 # ---------------------------------------------------------------- tracer
@@ -313,9 +312,7 @@ def untraced_baseline(
 
 
 class TestTracedSessions:
-    @pytest.mark.parametrize(
-        "backend,extra", OBS_BACKENDS, ids=[b for b, _ in OBS_BACKENDS]
-    )
+    @pytest.mark.parametrize("backend,extra", OBS_BACKENDS, ids=OBS_IDS)
     def test_tracing_never_changes_decisions(
         self,
         backend,
@@ -326,7 +323,7 @@ class TestTracedSessions:
         obs_flowcell_reads,
         untraced_baseline,
     ):
-        """Acceptance: traced == untraced, bit for bit, on every backend."""
+        """Acceptance: traced == untraced, bit for bit, at every thread count."""
         config = _session_config(
             reference_squiggle, obs_threshold, backend=backend, trace=True, **extra
         )
@@ -335,7 +332,7 @@ class TestTracedSessions:
             records = session.trace()
             summary = session.summary()
             tracks = session.tracer.tracks()
-        assert _decision_fields(result) == untraced_baseline, backend
+        assert _decision_fields(result) == untraced_baseline, extra
 
         names = {record.name for record in records}
         assert {"session.round", "engine.step", "backend.advance"} <= names
@@ -351,9 +348,9 @@ class TestTracedSessions:
         assert summary["round_wall_s"] > 0.0
         assert summary["n_polls"] >= summary["busy_rounds"] > 0
 
-        if backend in WORKER_BACKENDS:
-            worker_tracks = [t for t in tracks if t.startswith(f"{backend}-worker-")]
-            assert len(worker_tracks) >= 1, tracks
+        if extra:
+            thread_tracks = [t for t in tracks if t.startswith("numpy-thread-")]
+            assert len(thread_tracks) >= 2, tracks
             assert any(r.name == "worker.wavefront" for r in records)
 
     def test_untraced_session_records_nothing(
@@ -377,11 +374,10 @@ class TestTracedSessions:
         obs_threshold,
         obs_flowcell_reads,
     ):
-        path = tmp_path / "sharded.json"
+        path = tmp_path / "threads.json"
         config = _session_config(
             reference_squiggle,
             obs_threshold,
-            backend="sharded",
             workers=2,
             trace_path=str(path),
             label="obs-test",
@@ -389,11 +385,11 @@ class TestTracedSessions:
         with open_session(config) as session:
             session.run(obs_flowcell_reads, target_genome=target_genome)
         document = load_trace(str(path))
-        assert document["metadata"]["backend"] == "sharded"
+        assert document["metadata"]["backend"] == "numpy"
         assert document["metadata"]["label"] == "obs-test"
         complete = validate_trace(document)
-        # Parent track plus at least one worker-process track.
-        assert len({event["tid"] for event in complete}) >= 2
+        # Parent track plus one track per kernel thread.
+        assert len({event["tid"] for event in complete}) >= 3
 
     def test_pipeline_batch_path_and_session_share_the_tracer(
         self, reference_squiggle, target_genome, obs_threshold, obs_flowcell_reads

@@ -4,7 +4,7 @@ The contract under test: one declarative, serializable :class:`RunConfig`
 describes a run; :func:`open_session` owns lazy backend creation and engine
 lifecycle; and driving a seeded flowcell through the session produces
 decisions bit-identical to the pre-existing classifier/pipeline entry points
-on every registered execution backend.
+at every kernel-thread count.
 """
 
 import json
@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.batch.backends import ColumnShardedBackend, ShardedProcessBackend
+from repro.batch.backends import NumpyBackend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.core.config import SDTWConfig
 from repro.pipeline.api import build_pipeline
@@ -30,12 +30,14 @@ from repro.runtime import (
 from repro.sequencer.read_until_api import SignalChunk
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# Execution backends the acceptance property runs over.
+# Execution shapes the acceptance property runs over: one, two and three
+# kernel threads.
 SESSION_BACKENDS = [
     ("numpy", {}),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3}),
 ]
+SESSION_IDS = ["numpy", "2-workers", "3-workers"]
 
 
 def session_config(reference, threshold, **overrides):
@@ -56,9 +58,9 @@ class TestRunConfigValidation:
         "kwargs,field",
         [
             (dict(backend="tpu"), "backend"),
-            (dict(backend="sharded", workers=0), "workers"),
-            (dict(backend="sharded", workers=-3), "workers"),
-            (dict(backend="numpy", workers=2), "workers"),
+            (dict(backend="numpy", workers=0), "workers"),
+            (dict(backend="numpy", workers=-3), "workers"),
+            (dict(backend="sharded"), "backend"),
             (dict(backend="gpu"), "backend"),
             (dict(backend="native"), "backend"),
             (dict(backend="auto", workers=2), "workers"),
@@ -98,6 +100,11 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="workers"):
             RunConfig(backend="auto", workers=2)
 
+    @pytest.mark.parametrize("name", ["sharded", "colsharded"])
+    def test_removed_process_backends_rejected(self, name):
+        with pytest.raises(ValueError, match="^backend: .*available backends: auto, numpy$"):
+            RunConfig.from_dict({"backend": name})
+
 
 # ------------------------------------------------------------ serialization
 class TestRunConfigSerialization:
@@ -111,7 +118,7 @@ class TestRunConfigSerialization:
             n_channels=16,
             batch=True,
             label="flowcell-A",
-            backend="sharded",
+            backend="numpy",
             workers=4,
         )
         assert config.to_dict()["label"] == "flowcell-A"
@@ -141,11 +148,11 @@ class TestRunConfigSerialization:
             config.to_dict()
 
     def test_json_file_roundtrip(self, tmp_path):
-        config = RunConfig(genome="ACGT" * 200, backend="colsharded", workers=2)
+        config = RunConfig(genome="ACGT" * 200, workers=2)
         path = tmp_path / "run.json"
         config.to_file(path)
         assert RunConfig.from_file(path) == config
-        assert json.loads(path.read_text())["backend"] == "colsharded"
+        assert json.loads(path.read_text())["workers"] == 2
 
     def test_yaml_file_roundtrip(self, tmp_path):
         pytest.importorskip("yaml")
@@ -263,7 +270,7 @@ class TestSessionLifecycle:
         with open_session(self._config(reference_squiggle)) as session:
             assert "label" not in session.summary()
 
-    @pytest.mark.parametrize("backend,extra", SESSION_BACKENDS)
+    @pytest.mark.parametrize("backend,extra", SESSION_BACKENDS, ids=SESSION_IDS)
     def test_use_after_close_raises_session_closed_error(
         self, reference_squiggle, target_signals, backend, extra
     ):
@@ -536,16 +543,16 @@ class TestAutoBackend:
     @pytest.mark.parametrize(
         "cores,n_channels,expected",
         [
-            (1, 1, ("numpy", None, True, True)),
-            (1, 2, ("numpy", None, True, True)),
-            (1, 64, ("numpy", None, True, True)),
-            (2, 1, ("colsharded", 2, True, True)),
-            (2, 2, ("sharded", 2, True, True)),
-            (2, 64, ("sharded", 2, True, True)),
-            (4, 1, ("colsharded", 4, True, True)),
-            (4, 2, ("colsharded", 4, True, True)),
-            (4, 64, ("sharded", 4, True, True)),
-            (16, 64, ("sharded", 8, True, True)),
+            (1, 1, ("numpy", 1, True, True)),
+            (1, 2, ("numpy", 1, True, True)),
+            (1, 64, ("numpy", 1, True, True)),
+            (2, 1, ("numpy", 2, True, True)),
+            (2, 2, ("numpy", 2, True, True)),
+            (2, 64, ("numpy", 2, True, True)),
+            (4, 1, ("numpy", 4, True, True)),
+            (4, 2, ("numpy", 4, True, True)),
+            (4, 64, ("numpy", 4, True, True)),
+            (16, 64, ("numpy", 8, True, True)),
         ],
     )
     def test_rule_table(self, monkeypatch, cores, n_channels, expected):
@@ -559,15 +566,17 @@ class TestAutoBackend:
         ) == expected
 
     def test_default_worker_count_uses_every_usable_core(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        reference = np.arange(64, dtype=np.int64) % 9
-        for backend_class in (ShardedProcessBackend, ColumnShardedBackend):
-            backend = backend_class(reference, SDTWConfig.hardware())
-            try:
-                assert backend.n_workers == 2, backend_class.__name__
-            finally:
-                backend.close()
+        workers = resolve_auto(RunConfig(backend="auto")).workers
+        assert workers == 2
+        backend = NumpyBackend(
+            np.arange(64, dtype=np.int64) % 9, SDTWConfig.hardware(), workers=workers
+        )
+        try:
+            assert backend.workers == 2
+        finally:
+            backend.close()
 
     def test_auto_decisions_bit_identical_to_pinned(
         self,
@@ -669,7 +678,7 @@ class TestCliRunConfig:
                 "--config",
                 str(path),
                 "--backend",
-                "sharded",
+                "numpy",
                 "--workers",
                 "2",
                 "--prefix-samples",
@@ -679,7 +688,7 @@ class TestCliRunConfig:
         assert exit_code == 0
         dumped = json.loads(capsys.readouterr().out)
         # flag > file > default
-        assert dumped["backend"] == "sharded"
+        assert dumped["backend"] == "numpy"
         assert dumped["workers"] == 2
         assert dumped["prefix_samples"] == 500
         assert dumped["n_channels"] == 4
@@ -698,7 +707,7 @@ class TestCliRunConfig:
             dumped["workers"],
             dumped["prune"],
             dumped["lb_cascade"],
-        ) == ("sharded", 2, True, True)
+        ) == ("numpy", 2, True, True)
 
     def test_config_dump_rejects_invalid_config(self, tmp_path, capsys):
         from repro.cli import main

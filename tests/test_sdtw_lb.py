@@ -1,6 +1,6 @@
 """Tests for the lower-bound lane gate (``lb_cascade``).
 
-The gate contract under test, on every registered backend: with
+The gate contract under test, at every kernel-thread count: with
 ``prune=True`` and ``lb_cascade=True``, lanes whose cheapest admissible cost
 provably exceeds their kill bound skip the backend dispatch entirely, and
 
@@ -172,7 +172,7 @@ class TestGatedBitIdentity:
                 for lane, brute in enumerate(brute_rounds[round_index]):
                     if brute is None:
                         continue
-                    for (name, _), snap in zip(PRUNE_BACKENDS, snaps):
+                    for name, snap in zip(PRUNE_BACKENDS, snaps):
                         got = snap[lane]
                         assert (got.cost <= threshold) == (
                             brute.cost <= threshold

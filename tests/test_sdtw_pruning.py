@@ -1,6 +1,6 @@
 """Tests for the pruned sDTW wavefront.
 
-The pruning exactness contract under test, on every registered backend:
+The pruning exactness contract under test, at every kernel-thread count:
 with ``prune=True`` and a decision bound ``B = prune_bound + prune_margin``,
 
 * accept/eject decisions (``cost <= prune_bound``) are bit-identical to the
@@ -24,12 +24,13 @@ from repro.obs.trace import Tracer
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.read_until_api import SignalChunk
 
-# Every registered backend.
+# The numpy backend on one, two and three kernel threads.
 PRUNE_BACKENDS = [
     ("numpy", None),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3}),
 ]
+PRUNE_IDS = ["numpy", "2-workers", "3-workers"]
 
 _PRUNE_REFERENCE = np.random.default_rng(20260807).integers(-127, 128, 60)
 
@@ -115,7 +116,7 @@ class TestPrunedBitIdentity:
                 for lane, brute in enumerate(brute_rounds[round_index]):
                     if brute is None:
                         continue
-                    for (name, _), snap in zip(PRUNE_BACKENDS, snaps):
+                    for name, snap in zip(PRUNE_BACKENDS, snaps):
                         got = snap[lane]
                         assert (got.cost <= threshold) == (
                             brute.cost <= threshold
@@ -133,7 +134,7 @@ class TestPrunedBitIdentity:
             for engine in engines:
                 engine.close()
 
-    @pytest.mark.parametrize("backend,options", PRUNE_BACKENDS)
+    @pytest.mark.parametrize("backend,options", PRUNE_BACKENDS, ids=PRUNE_IDS)
     def test_per_target_costs_exact_below_bound_on_panel(
         self, backend, options, kmer_model
     ):

@@ -18,6 +18,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.batch.backends import default_workers
 from repro.runtime import RunConfig, open_session
 from repro.serve import (
     BackendPool,
@@ -29,7 +30,7 @@ from repro.serve import (
     ServeClientError,
     ServeServer,
 )
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import MAX_BODY_BYTES, MAX_HEADER_BYTES, MAX_HEADER_LINES
 from repro.serve.client import AsyncServeClient
 from repro.serve.manager import SessionManager, chunk_from_payload
 from repro.serve.workload import build_tenant_workloads, replay_flowcell
@@ -454,6 +455,18 @@ class TestHttpEndToEnd:
         session_id = serve_client.create_session(service_config(n_channels=512))
         serve_client.close_session(session_id)
 
+    def test_workers_beyond_usable_cores_gets_400(self, serve_client):
+        """Every session's backend starts its own kernel threads, so a tenant
+        may ask for at most one per usable core (capped at 8)."""
+        open_before = len(serve_client.list_sessions())
+        cap = default_workers()
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.create_session(service_config(workers=cap + 1))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("workers")
+        assert f"at most {cap} " in excinfo.value.message
+        assert len(serve_client.list_sessions()) == open_before
+
     def test_closed_underlying_session_maps_to_conflict(
         self, serve_server, serve_client
     ):
@@ -486,6 +499,19 @@ class TestHttpEndToEnd:
         run(scenario())
 
 
+def _raw_exchange(server, request):
+    """Send one raw request; read until the server closes the connection."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            reply += data
+    return reply
+
+
 class TestRequestFraming:
     """The stdlib transport answers a request it cannot frame, then closes."""
 
@@ -500,21 +526,48 @@ class TestRequestFraming:
             "POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
             f"Content-Length: {length}\r\n\r\n"
         ).encode()
-        with socket.create_connection(
-            (serve_server.host, serve_server.port), timeout=10
-        ) as sock:
-            sock.sendall(request)
-            reply = b""
-            while True:
-                data = sock.recv(65536)
-                if not data:  # the server closed the connection after answering
-                    break
-                reply += data
+        reply = _raw_exchange(serve_server, request)
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
         assert b"Connection: close" in head
         assert json.loads(body)["error"].startswith("Content-Length")
         assert serve_client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "n_lines,line_bytes",
+        [(1, 70_000), (MAX_HEADER_LINES + 1, 8)],
+        ids=["70000_byte_line", "101_lines"],
+    )
+    def test_oversized_request_head_gets_431_then_closed(
+        self, serve_server, serve_client, n_lines, line_bytes
+    ):
+        """Regression: a header line beyond asyncio's 64 KiB line limit got
+        no answer at all, and any number of header lines got 200."""
+        headers = "".join(
+            f"X-Pad-{index}: {'a' * line_bytes}\r\n" for index in range(n_lines)
+        )
+        reply = _raw_exchange(
+            serve_server, f"GET /health HTTP/1.1\r\n{headers}\r\n".encode()
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431 Request Header Fields Too Large"), head
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"].startswith("headers")
+        assert serve_client.health()["status"] == "ok"
+
+    def test_request_head_at_both_caps_is_served(self, serve_server):
+        """A head of exactly MAX_HEADER_LINES lines within MAX_HEADER_BYTES
+        is an ordinary request."""
+        line_bytes = MAX_HEADER_BYTES // MAX_HEADER_LINES - 64
+        headers = "".join(
+            f"X-Pad-{index}: {'a' * line_bytes}\r\n"
+            for index in range(MAX_HEADER_LINES - 1)
+        )
+        reply = _raw_exchange(
+            serve_server,
+            f"GET /health HTTP/1.1\r\n{headers}Connection: close\r\n\r\n".encode(),
+        )
+        assert reply.startswith(b"HTTP/1.1 200 OK"), reply[:80]
 
 
 class TestBackpressure:

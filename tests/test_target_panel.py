@@ -1,11 +1,10 @@
-"""Tests for the first-class TargetPanel layer and reference-axis tiling.
+"""Tests for the first-class TargetPanel layer.
 
 The contract under test (PR 4's acceptance invariant): a panel of N targets
 advanced through the concatenated column space produces per-target costs,
 end positions and rows **bit-identical** to N independent single-reference
-``sdtw_resume`` runs — on every execution backend (``numpy``, ``sharded``,
-``colsharded``), across ragged chunk schedules, ragged target lengths, and
-lane recycling; halo-extended column tiles stitch back to the untiled rows.
+``sdtw_resume`` runs — at every kernel-thread count of the numpy backend,
+across ragged chunk schedules and ragged target lengths.
 """
 
 import numpy as np
@@ -13,33 +12,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batch.backends import ColumnShardedBackend, available_backends, create_backend
+from repro.batch.backends import create_backend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
 from repro.core.filter import SquiggleFilter, build_default_filter
 from repro.core.panel import TargetPanel
 from repro.core.reference import ReferenceSquiggle
-from repro.core.sdtw import (
-    BatchSDTWState,
-    normalize_block_starts,
-    reduce_block_minima,
-    sdtw_resume,
-    sdtw_resume_batch,
-    tile_block_starts,
-    tile_halo_start,
-)
+from repro.core.sdtw import normalize_block_starts, sdtw_resume
 from repro.genomes.sequences import random_genome
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import RunConfig
 
-# Every execution shape a panel can advance on: the in-process wavefront,
-# lanes across workers, and reference columns across workers.
+# Every execution shape a panel can advance on: one thread, and the lanes
+# split over two and three kernel threads.
 PANEL_BACKENDS = [
     ("numpy", None),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3}),
 ]
 
 # Deliberately ragged target lengths (in reference columns, both strands).
@@ -147,8 +138,7 @@ class TestPanelBitIdentity:
     def test_panel_costs_match_independent_runs_on_all_backends(self, queries, data):
         """The acceptance property: per-target panel costs/ends equal N
         independent single-reference sdtw_resume runs, across ragged chunk
-        schedules and a one-column target, on numpy, sharded and
-        colsharded."""
+        schedules and a one-column target, at every thread count."""
         n_rounds = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
@@ -193,9 +183,9 @@ class TestPanelBitIdentity:
                             state = scalar.get((lane, name))
                             if state is None:
                                 continue
-                            assert costs[lane, index] == state.cost, backend.backend_name
+                            assert costs[lane, index] == state.cost, backend.workers
                             assert ends[lane, index] == state.end_position, (
-                                backend.backend_name
+                                backend.workers
                             )
             # Final resident rows are the concatenation of the independent runs.
             for backend in backends:
@@ -207,136 +197,11 @@ class TestPanelBitIdentity:
                         [scalar[(lane, name)].row for name in PROPERTY_REFERENCES]
                     )
                     assert np.array_equal(gathered.rows[lane], expected), (
-                        backend.backend_name
+                        backend.workers
                     )
         finally:
             for backend in backends:
                 backend.close()
-
-    @pytest.mark.parametrize("tile_width", [1, 5, 11, 53, 64, 97, 98])
-    def test_tiled_advance_identical_to_untiled(self, tile_width, rng):
-        """The halo rule ColumnShardedBackend relies on: each column tile
-        advanced on its own, extended left to ``tile_halo_start`` with
-        ``tile_block_starts`` blocks, keeps exactly the untiled rows for its
-        columns — from a fresh state and resumed, for tile widths from one
-        column through 'narrower than the last block' to wider than the
-        reference."""
-        config = SDTWConfig.hardware()
-        n_columns = PANEL_CONCAT.size
-        chunk = 9
-        # One lane streams an exact copy of the reference columns ending at
-        # the first mid-block tile start it fits before: its best path there
-        # is the pure diagonal, which a halo one column short would cut.
-        diagonal_end = next(
-            (
-                start
-                for start in range(tile_width, n_columns, tile_width)
-                if start - 2 * chunk + 1
-                >= PANEL_STARTS[np.searchsorted(PANEL_STARTS, start, side="right") - 1]
-            ),
-            None,
-        )
-        state = None
-        for round_index in range(2):
-            queries = [rng.integers(-127, 128, n) for n in (chunk, 4)]
-            if diagonal_end is not None:
-                first = diagonal_end - 2 * chunk + 1 + round_index * chunk
-                queries.append(PANEL_CONCAT[first : first + chunk])
-            untiled = sdtw_resume_batch(
-                queries, PANEL_CONCAT, config, state=state, block_starts=PANEL_STARTS
-            )
-            rows = np.empty_like(untiled.rows)
-            runs = np.empty_like(untiled.runs)
-            for tile_start in range(0, n_columns, tile_width):
-                tile_end = min(tile_start + tile_width, n_columns)
-                halo_start = tile_halo_start(PANEL_STARTS, tile_start, chunk)
-                tile_state = None
-                if state is not None:
-                    tile_state = BatchSDTWState(
-                        rows=state.rows[:, halo_start:tile_end],
-                        runs=state.runs[:, halo_start:tile_end],
-                        samples_processed=state.samples_processed,
-                    )
-                tile = sdtw_resume_batch(
-                    queries,
-                    PANEL_CONCAT[halo_start:tile_end],
-                    config,
-                    state=tile_state,
-                    block_starts=tile_block_starts(PANEL_STARTS, halo_start, tile_end),
-                )
-                keep = tile_start - halo_start
-                rows[:, tile_start:tile_end] = tile.rows[:, keep:]
-                runs[:, tile_start:tile_end] = tile.runs[:, keep:]
-                assert np.array_equal(tile.samples_processed, untiled.samples_processed)
-            assert np.array_equal(rows, untiled.rows)
-            assert np.array_equal(runs, untiled.runs)
-            state = untiled
-
-    def test_colsharded_tile_narrower_than_last_block(self, rng):
-        """7 workers over 98 columns leave tiles narrower than gamma's block,
-        and beta's 11-column block straddles a tile boundary entirely."""
-        config = SDTWConfig.hardware()
-        backend = ColumnShardedBackend(
-            PANEL_CONCAT, config, capacity=2, workers=7, block_starts=PANEL_STARTS
-        )
-        try:
-            queries = [rng.integers(-127, 128, 30), rng.integers(-127, 128, 13)]
-            costs, ends = backend.advance(np.array([0, 1]), queries)
-            for lane, query in enumerate(queries):
-                for index, (name, reference) in enumerate(PANEL_REFERENCES.items()):
-                    expected = sdtw_resume(query, reference, config)
-                    assert costs[lane, index] == expected.cost
-                    assert ends[lane, index] == expected.end_position
-        finally:
-            backend.close()
-
-    def test_colsharded_worker_count_clamped_to_columns(self, rng):
-        reference = rng.integers(-127, 128, 3)
-        backend = ColumnShardedBackend(reference, SDTWConfig.hardware(), capacity=1, workers=8)
-        try:
-            assert backend.n_workers == 3
-            query = rng.integers(-127, 128, 9)
-            costs, _ = backend.advance(np.array([0]), [query])
-            assert costs[0, 0] == sdtw_resume(query, reference, SDTWConfig.hardware()).cost
-        finally:
-            backend.close()
-
-
-# -------------------------------------------------------------- lane recycling
-class TestColumnShardLaneChurn:
-    def test_recycled_lanes_reset_across_column_shards(self, rng):
-        """Admit -> retire -> re-admit on the colsharded backend: a recycled
-        lane must come up zeroed in *every* column tile, across growth."""
-        config = SDTWConfig.hardware()
-        reference = rng.integers(-127, 128, 40)
-        with BatchSDTWEngine(
-            reference,
-            config,
-            initial_capacity=2,
-            backend="colsharded",
-            backend_options={"workers": 3},
-        ) as engine:
-            first = {key: rng.integers(-127, 128, 12) for key in ("a", "b")}
-            engine.step(list(first.items()))
-            survivor = sdtw_resume(first["b"], reference, config)
-
-            engine.retire("a")
-            fresh = {key: rng.integers(-127, 128, 9) for key in ("c", "d", "e")}
-            for key in fresh:
-                engine.admit(key)
-            assert engine.capacity > 2
-            for key in fresh:
-                assert engine.samples_processed(key) == 0
-                assert engine.snapshot(key).cost == 0.0
-                assert not engine.state_of(key).row.any()
-
-            snaps = engine.step(list(fresh.items()))
-            for key, query in fresh.items():
-                expected = sdtw_resume(query, reference, config)
-                assert snaps[key].cost == expected.cost
-                assert np.array_equal(engine.state_of(key).row, expected.row)
-            assert np.array_equal(engine.state_of("b").row, survivor.row)
-            assert engine.samples_processed("b") == survivor.samples_processed
 
 
 # ------------------------------------------------------------------ filter API
@@ -567,15 +432,13 @@ class TestCliTargetPanel:
         for name in ("virus1", "virus2", "virus3"):
             assert f"accepts[{name}]" in output
 
-    def test_target_panel_with_colsharded_backend(self, capsys):
+    def test_target_panel_with_kernel_threads(self, capsys):
         from repro.cli import main
 
-        exit_code = main(
-            self.CLI_ARGS + ["--target-panel", "2", "--backend", "colsharded", "--workers", "2"]
-        )
+        exit_code = main(self.CLI_ARGS + ["--target-panel", "2", "--workers", "2"])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "colsharded" in output
+        assert "numpy" in output
         assert "accepts[virus1]" in output
 
     def test_target_panel_requires_squigglefilter_family(self, capsys):
@@ -592,11 +455,3 @@ class TestCliTargetPanel:
 
         assert main(self.CLI_ARGS + ["--target-panel", "1"]) == 2
         assert "at least 2" in capsys.readouterr().err
-
-    def test_workers_accepts_colsharded(self, capsys):
-        from repro.cli import main
-
-        # RunConfig validation owns the workers-vs-backend check now; the
-        # error names the offending field.
-        assert main(self.CLI_ARGS + ["--workers", "2"]) == 2
-        assert "workers" in capsys.readouterr().err
