@@ -1,9 +1,12 @@
 """Supplementary benchmark: scalar per-read loop vs the batched sDTW engine.
 
-The batch execution engine's argument is that one ``(channels, reference)``
-matrix operation per wavefront step beats ``channels`` separate
-``(reference,)`` operations issued from a Python loop — the same reason the
-accelerator advances all alignments in lockstep. This benchmark replays an
+The batch execution engine's argument is that advancing every channel in
+one call beats ``channels`` separate ``(reference,)`` operations issued from
+a Python loop — the same reason the accelerator advances all alignments in
+lockstep. On the hardware data path that call runs the compiled C kernel
+(``repro/core/_sdtw_kernel.c``); other configurations run one
+``(channels, reference)`` numpy operation per wavefront step. This
+benchmark replays an
 identical chunk-round workload through the per-read scalar path and through
 the engine at each requested kernel-thread count, checks the costs are
 bit-identical, and reports wavefront throughput (DP cells per second).
@@ -15,9 +18,8 @@ Two entry points:
   a large channel count, where the per-read Python loop is
   overhead-dominated and lockstep batching pays maximally (gated via
   ``BATCH_SDTW_MIN_SPEEDUP``, default 5x) — and ``genome`` — a
-  lambda-phage-scale reference, where every kernel call is
-  memory-bandwidth-bound and one core's bandwidth is the ceiling (reported,
-  not gated).
+  lambda-phage-scale reference with fewer channels, where the per-read
+  loop's overhead matters least (reported, not gated).
 * **script mode** (``python benchmarks/bench_batch_sdtw.py --workers 2 4``)
   measures the one-thread ``numpy`` baseline plus one ``numpy[workers=N]``
   row per ``--workers`` value on four workloads — ``flowcell``: by default

@@ -19,7 +19,7 @@ Three correctness properties are asserted, not just measured:
 * **Clean service state** — ``/health`` stays green, the server's
   ``repro_serve_rounds_total`` counters account for every submitted round,
   and the per-phase ``repro_serve_round_phase_seconds`` series (fed by the
-  sessions' flight recorders) is present; its per-phase totals land in the
+  sessions' tracer phase totals) is present; its per-phase totals land in the
   report under ``round_phases``.
 
 Modes:
@@ -207,7 +207,7 @@ def _service_checks(host: str, port: int, expected_rounds: int) -> Dict[str, Any
         if not phases:
             raise AssertionError(
                 "/metrics exposes no repro_serve_round_phase_seconds series — "
-                "served sessions should always run with the flight recorder on"
+                "served sessions should always run with tracing on"
             )
         return {
             "health": health.get("status"),

@@ -25,13 +25,15 @@ runs (a plain single reference is one block, so the arrays are just
 Backends live behind a string-keyed registry, mirroring how UNCALLED exposes
 its DTW variants behind a ``METHODS`` mapping. One is registered:
 :class:`NumpyBackend` (``"numpy"``) keeps one :class:`BatchSDTWState` in this
-process and advances it with :func:`~repro.core.sdtw.sdtw_resume_batch`.
-With ``workers=N`` it splits each round's lanes into up to ``N`` contiguous
-groups and advances them on ``N`` threads (numpy releases the GIL inside its
-array loops) — the software analogue of the paper assigning each read to an
-available tile. Every group runs the same kernel on its own lanes' state, so
-costs, rows and therefore Read Until decisions are bit-identical whatever
-``workers`` is.
+process and advances it with :func:`~repro.core.sdtw.sdtw_resume_batch`, whose
+compiled C kernel runs every round of the hardware data path (the numpy
+oracle wavefront runs the rest). On that path the state stays resident as
+``int32``. With ``workers=N`` the backend splits each round's lanes into up
+to ``N`` contiguous groups and advances them on ``N`` threads (the C kernel
+runs without the GIL, as do numpy's array loops) — the software analogue of
+the paper assigning each read to an available tile. Every group runs the
+same kernel on its own lanes' state, so costs, rows and therefore Read Until
+decisions are bit-identical whatever ``workers`` is.
 
 Every ``advance`` additionally accepts per-lane ``prune_bounds`` (kill
 thresholds for the kernel's pruning layer — see
@@ -42,6 +44,7 @@ advanced/pruned cell counts in :attr:`ExecutionBackend.stats`.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
@@ -53,6 +56,7 @@ from repro.obs.trace import NULL_TRACER, Tracer, WorkerSpan, worker_span
 from repro.core.sdtw import (
     AdvanceStats,
     BatchSDTWState,
+    int32_data_path,
     normalize_block_starts,
     reduce_block_minima,
     sdtw_resume_batch,
@@ -223,6 +227,14 @@ class NumpyBackend:
     own disjoint lanes on a pool thread, and the calling thread merges the
     groups' cell counts and concatenates their ``(costs, ends)`` in lane
     order once every group has finished.
+
+    On the ``int32`` data path (:func:`~repro.core.sdtw.int32_data_path`)
+    rows and capped dwell are stored as ``int32``, the dtype the compiled
+    kernel reads and writes, so rounds convert nothing. A round whose values
+    leave the kernel's range comes back ``int64`` from the numpy oracle; the
+    storage then widens to ``int64`` once, for good. Pool threads store
+    their groups under one lock, so a group that widens the storage never
+    loses another group's rows.
     """
 
     backend_name = "numpy"
@@ -252,11 +264,18 @@ class NumpyBackend:
         self._state = BatchSDTWState.initial(
             capacity, self.reference_values.size, self.config
         )
+        if int32_data_path(self.config):
+            self._state = BatchSDTWState(
+                rows=self._state.rows.astype(np.int32),
+                runs=self._state.runs.astype(np.int32),
+                samples_processed=self._state.samples_processed,
+            )
         self._pool = (
             ThreadPoolExecutor(self.workers, thread_name_prefix="numpy-backend")
             if self.workers > 1
             else None
         )
+        self._scatter_lock = threading.Lock()
         self._closed = False
 
     @property
@@ -275,7 +294,12 @@ class NumpyBackend:
         old = self._state
         if min_capacity <= old.n_lanes:
             return
-        state = BatchSDTWState.initial(min_capacity, old.reference_length, self.config)
+        shape = (min_capacity, old.reference_length)
+        state = BatchSDTWState(
+            rows=np.zeros(shape, dtype=old.rows.dtype),
+            runs=np.zeros(shape, dtype=old.runs.dtype),
+            samples_processed=np.zeros(min_capacity, dtype=np.int64),
+        )
         state.rows[: old.n_lanes] = old.rows
         state.runs[: old.n_lanes] = old.runs
         state.samples_processed[: old.n_lanes] = old.samples_processed
@@ -317,9 +341,7 @@ class NumpyBackend:
                     stats=self.stats,
                 )
             with tracer.span("backend.scatter"):
-                self._state.rows[lanes] = advanced.rows
-                self._state.runs[lanes] = advanced.runs
-                self._state.samples_processed[lanes] = advanced.samples_processed
+                self.scatter(lanes, advanced)
             with tracer.span("backend.reduce"):
                 return reduce_block_minima(advanced.rows, self.block_starts)
 
@@ -394,9 +416,8 @@ class NumpyBackend:
             stats=stats,
         )
         wave_end_s = clock() if trace else 0.0
-        self._state.rows[lanes] = advanced.rows
-        self._state.runs[lanes] = advanced.runs
-        self._state.samples_processed[lanes] = advanced.samples_processed
+        with self._scatter_lock:
+            self.scatter(lanes, advanced)
         costs, ends = reduce_block_minima(advanced.rows, self.block_starts)
         records = None
         if trace:
@@ -416,6 +437,17 @@ class NumpyBackend:
         )
 
     def scatter(self, lanes: np.ndarray, state: BatchSDTWState) -> None:
+        """Store lane state, first widening ``int32`` storage to ``state``'s int64.
+
+        Numpy's setitem casts silently, so int64 values are never assigned
+        into int32 storage.
+        """
+        if state.rows.dtype.itemsize > self._state.rows.dtype.itemsize:
+            self._state = BatchSDTWState(
+                rows=self._state.rows.astype(np.int64),
+                runs=self._state.runs.astype(np.int64),
+                samples_processed=self._state.samples_processed,
+            )
         self._state.rows[lanes] = state.rows
         self._state.runs[lanes] = state.runs
         self._state.samples_processed[lanes] = state.samples_processed

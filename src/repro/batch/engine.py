@@ -280,6 +280,10 @@ class BatchSDTWEngine:
         self._kill_envelope = np.full(capacity, np.inf, dtype=np.float64)
         self.rounds: List[BatchRound] = []
         self._n_polls = 0
+        # Running totals over `rounds`, so the occupancy gauges a service
+        # reads every round cost O(1) however long the session runs.
+        self._lane_rounds = 0
+        self._peak_lanes = 0
 
     # -------------------------------------------------------------- lane admin
     @property
@@ -509,6 +513,8 @@ class BatchSDTWEngine:
             self.rounds.append(
                 BatchRound(index=poll, n_lanes=len(keys), n_samples=int(lengths.sum()))
             )
+            self._lane_rounds += len(keys)
+            self._peak_lanes = max(self._peak_lanes, len(keys))
 
             bounds = self._prune_bounds(lanes, lengths)
             if self.lb_cascade:
@@ -588,11 +594,12 @@ class BatchSDTWEngine:
 
     @property
     def peak_occupancy(self) -> int:
-        return max((entry.n_lanes for entry in self.rounds), default=0)
+        """Most lanes any busy round advanced (0 before the first)."""
+        return self._peak_lanes
 
     @property
     def mean_occupancy(self) -> float:
         """Mean lanes per *busy* round (idle polls excluded)."""
         if not self.rounds:
             return 0.0
-        return float(np.mean([entry.n_lanes for entry in self.rounds]))
+        return self._lane_rounds / len(self.rounds)

@@ -26,15 +26,20 @@ kernel so the systolic array is bit-compatible with the software filter.
 
 The resumable recurrence also comes in a **batched** form:
 :func:`sdtw_resume_batch` stacks many lanes into a ``(lanes, reference)``
-state (:class:`BatchSDTWState`) and advances all of them with one set of
-matrix operations per wavefront step — the kernel the execution backend of
-:class:`repro.batch.BatchSDTWEngine` runs (once per round, or once per lane
-group on each kernel thread; see :mod:`repro.batch.backends`). Per-lane
-results are bit-identical to per-read :func:`sdtw_resume` calls, which is
-what makes the lane split invisible to decisions.
-The batched wavefront has two numpy paths: the generic recurrence (the
-oracle, any resumable configuration) and an ``int32`` fast path for the
-all-integer hardware data path.
+state (:class:`BatchSDTWState`) and advances all of them in one call — the
+kernel the execution backend of :class:`repro.batch.BatchSDTWEngine` runs
+(once per round, or once per lane group on each kernel thread; see
+:mod:`repro.batch.backends`). Per-lane results are bit-identical to
+per-read :func:`sdtw_resume` calls, which is what makes the lane split
+invisible to decisions. The batched wavefront has two paths:
+
+* a compiled C loop (``_sdtw_kernel.c``, built on first use by
+  :mod:`repro.core.ckernel`) for the all-integer hardware data path
+  (:func:`int32_data_path`), taken by every call whose values stay in the
+  range that keeps ``int32`` exact;
+* the numpy oracle, one set of ``(lanes, reference)`` matrix operations per
+  wavefront step, for every other configuration, for calls outside that
+  range, and for every call when no C compiler is available.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import ckernel
 from repro.core.config import SDTWConfig
 
 __all__ = [
@@ -72,16 +78,20 @@ class AdvanceStats:
     samples x columns of every executed slice) and ``cells_pruned`` the cells
     the pruning layer skipped — frozen columns outside the active intervals
     plus whole rounds of early-abandoned lanes. Their sum is the nominal
-    brute-force work ``sum(chunk lengths) x reference columns``. Execution
-    backends accumulate one instance across rounds; each kernel thread fills
-    its own and the backend merges them.
+    brute-force work ``sum(chunk lengths) x reference columns``.
+    ``c_calls`` and ``generic_calls`` count the wavefront calls that ran the
+    compiled kernel and the numpy oracle. Execution backends accumulate one
+    instance across rounds; each kernel thread fills its own and the backend
+    merges them.
     """
 
-    __slots__ = ("cells_advanced", "cells_pruned")
+    __slots__ = ("cells_advanced", "cells_pruned", "c_calls", "generic_calls")
 
     def __init__(self, cells_advanced: int = 0, cells_pruned: int = 0) -> None:
         self.cells_advanced = int(cells_advanced)
         self.cells_pruned = int(cells_pruned)
+        self.c_calls = 0
+        self.generic_calls = 0
 
     @property
     def cells_nominal(self) -> int:
@@ -94,11 +104,14 @@ class AdvanceStats:
 
     def merge(self, other: "AdvanceStats") -> None:
         self.add(other.cells_advanced, other.cells_pruned)
+        self.c_calls += other.c_calls
+        self.generic_calls += other.generic_calls
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"AdvanceStats(cells_advanced={self.cells_advanced}, "
-            f"cells_pruned={self.cells_pruned})"
+            f"cells_pruned={self.cells_pruned}, c_calls={self.c_calls}, "
+            f"generic_calls={self.generic_calls})"
         )
 
 
@@ -191,15 +204,17 @@ def _big_for(dtype):
 def int32_data_path(config: SDTWConfig) -> bool:
     """Whether ``config`` is the all-integer hardware data path.
 
-    Quantized values, absolute distance and a whole-number bonus whose
-    largest credit (``match_bonus * match_bonus_cap``) stays below ``2**28``.
-    On this path the batched wavefront may run its ``int32`` kernel; each
-    call still checks its own value range before taking it.
+    Quantized values, absolute distance, a whole-number bonus, and a dwell
+    cap and largest credit (``match_bonus * match_bonus_cap``) below
+    ``2**28``. On this path the batched wavefront may run its compiled
+    ``int32`` kernel, and the numpy backend keeps its lane state in
+    ``int32``; each call still checks its own value range before taking it.
     """
     return (
         config.quantize
         and config.distance == "absolute"
         and float(config.match_bonus).is_integer()
+        and config.match_bonus_cap < 2**28
         and config.match_bonus * config.match_bonus_cap < 2**28
     )
 
@@ -396,10 +411,15 @@ class BatchSDTWState:
     ``rows`` is the ``(n_lanes, reference_length)`` matrix of last DP rows,
     ``runs`` the matching dwell counters and ``samples_processed`` the
     per-lane query progress. Only ``min(runs, match_bonus_cap)`` is defined —
-    the one value the recurrence reads — and the ``int32`` path stores just
-    that. A lane with ``samples_processed == 0`` is at the free start (an
-    all-zero row with zero dwell): :meth:`initial` writes it, and
+    the one value the recurrence reads — and the compiled ``int32`` kernel
+    stores just that. A lane with ``samples_processed == 0`` is at the free
+    start (an all-zero row with zero dwell): :meth:`initial` writes it, and
     :func:`sdtw_resume_batch` enforces it whatever such a lane's row holds.
+
+    Integer rows and runs are ``int64`` unless they are given as ``int32``,
+    which the state keeps (the numpy backend's resident state on the
+    ``int32`` data path); float rows are ``float64``. Arrays already of
+    those dtypes are kept, not copied.
     """
 
     __slots__ = ("rows", "runs", "samples_processed")
@@ -410,9 +430,12 @@ class BatchSDTWState:
         runs: np.ndarray,
         samples_processed: np.ndarray,
     ) -> None:
-        rows = np.asarray(rows)
-        self.rows = rows.astype(np.int64 if np.issubdtype(rows.dtype, np.integer) else np.float64)
-        self.runs = np.asarray(runs, dtype=np.int64)
+        rows, runs = np.asarray(rows), np.asarray(runs)
+        if rows.dtype != np.int32:
+            integer = np.issubdtype(rows.dtype, np.integer)
+            rows = rows.astype(np.int64 if integer else np.float64, copy=False)
+        self.rows = rows
+        self.runs = runs if runs.dtype == np.int32 else runs.astype(np.int64, copy=False)
         self.samples_processed = np.asarray(samples_processed, dtype=np.int64)
         if self.rows.ndim != 2:
             raise ValueError("rows must be a (n_lanes, reference_length) matrix")
@@ -546,28 +569,26 @@ def sdtw_resume_batch(
     their state flows through untouched. Each lane computes exactly the
     no-reference-deletion recurrence of :func:`sdtw_resume`, so per-lane rows
     and costs are **bit-identical** to calling ``sdtw_resume`` once per
-    lane — the batch kernel only restructures the Python-loop work into
-    ``(lanes, reference)`` matrix operations, one set per wavefront step.
+    lane — the batch kernel only restructures the per-read work.
 
     A lane whose ``state.samples_processed`` is zero starts from the free
     start (an all-zero row with zero dwell), as a fresh ``sdtw_resume`` call
     does, and its first sample runs through the same step as every other.
     Returns a new :class:`BatchSDTWState`; the input state is not mutated.
 
-    The returned ``runs`` are defined up to the cap: with a match bonus,
+    The returned ``runs`` are defined up to the cap:
     ``min(runs, match_bonus_cap)`` equals ``sdtw_resume``'s
     ``min(run, match_bonus_cap)``, the only value the recurrence reads. The
-    ``int32`` path keeps just that capped counter (and, without a bonus,
-    leaves ``runs`` as they came in).
+    compiled kernel keeps just that capped counter.
 
-    Execution notes: lanes are processed in descending order of remaining
-    samples so the active set of every wavefront step is a contiguous row
-    *prefix* of the stacked state (views, never masked copies), and the
-    all-integer configurations (quantized, absolute distance, whole-number
-    bonus — the hardware data path) run on an ``int32`` fast path that
-    carries the saturating ``bonus * min(run, cap)`` table directly. All
-    intermediate values are exact small integers on both paths, so the
-    outputs remain bit-identical to the scalar kernel.
+    Execution notes: the all-integer configurations (quantized, absolute
+    distance, whole-number bonus — the hardware data path) run the compiled
+    ``int32`` kernel whenever the call's values keep every intermediate cost
+    within ``+-2**28``; all values are then exact small integers, so the
+    outputs remain bit-identical to the scalar kernel. An ``int32`` state
+    comes back ``int32`` from that kernel; a call the range check sends to
+    the numpy oracle returns ``int64`` rows and runs, as does every call on
+    an ``int64`` state.
 
     ``block_starts`` declares a multi-target **panel** layout: the reference
     is N independent target references concatenated along the column axis,
@@ -590,7 +611,8 @@ def sdtw_resume_batch(
     at or below the *decision* bound is bit-identical to the brute-force
     advance, and pruned costs above it only ever over-estimate, so
     accept/eject decisions and reported winners below the bound never change.
-    ``stats`` accumulates the advanced/pruned cell counts of the call.
+    ``stats`` accumulates the advanced/pruned cell counts of the call and
+    which wavefront path it ran.
     """
     cfg = config if config is not None else SDTWConfig()
     if cfg.allow_reference_deletions:
@@ -646,17 +668,11 @@ def _resume_batch_arrays(
     ``lanes``, ``reference_values``, ``rows``, ``runs`` and
     ``samples_processed`` are on the kernel scale (shaped as in
     :class:`BatchSDTWState`); the inputs are never mutated and three new
-    arrays ``(rows, runs, samples_processed)`` come back. Ordering metadata
-    (the lane sort, each wavefront step's active prefix width) is plain
-    Python — control flow, not data.
+    arrays ``(rows, runs, samples_processed)`` come back.
     """
-    cfg = config
     n_lanes = len(lanes)
     reference_length = int(reference_values.shape[0])
     starts = normalize_block_starts(block_starts, reference_length)
-
-    bonus = float(cfg.match_bonus)
-    cap = cfg.match_bonus_cap
     lengths = [int(lane.shape[0]) for lane in lanes]
     processed = samples_processed + np.asarray(lengths, dtype=np.int64)
     if n_lanes == 0 or max(lengths, default=0) == 0:
@@ -671,13 +687,83 @@ def _resume_batch_arrays(
             )
         if not np.all(np.isinf(bounds)):
             return _resume_batch_pruned(
-                lanes, reference_values, cfg, rows, runs, samples_processed,
+                lanes, reference_values, config, rows, runs, samples_processed,
                 starts, processed, bounds, stats,
             )
     if stats is not None:
         stats.add(sum(lengths) * reference_length, 0)
+    out_rows, out_runs = _wavefront(
+        lanes, reference_values, config, rows, runs, samples_processed, starts, stats
+    )
+    return out_rows, out_runs, processed
 
-    # Descending length, ties in input order (a stable sort).
+
+def _wavefront(
+    lanes: Sequence[np.ndarray],
+    reference_values: np.ndarray,
+    cfg: SDTWConfig,
+    rows: np.ndarray,
+    runs: np.ndarray,
+    samples_processed: np.ndarray,
+    starts: np.ndarray,
+    stats: Optional[AdvanceStats],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance every lane over its whole chunk; returns new ``(rows, runs)``.
+
+    Lanes with ``samples_processed == 0`` start from the free start. On the
+    ``int32`` data path, when this call's values stay in range, the compiled
+    kernel (:func:`_advance_batch_int32`) runs; every other call runs the
+    numpy oracle (:func:`_advance_batch_generic`). Int32 rows come back as
+    int32 only when they went in as int32 and the compiled kernel ran;
+    otherwise quantized rows come back as int64.
+    """
+    lengths = [int(lane.shape[0]) for lane in lanes]
+    fresh = samples_processed == 0
+    bonus = float(cfg.match_bonus)
+    cap = cfg.match_bonus_cap
+    work_rows = rows.copy()
+    work_rows[fresh] = 0
+
+    if int32_data_path(cfg):
+        # The int32 kernel needs every intermediate cost to stay far from the
+        # diagonal penalty; bound it by what this call can add to what the
+        # state holds.
+        query = np.concatenate(lanes)
+        value_bound = max(
+            int(query.max()), -int(query.min()),
+            int(reference_values.max()), -int(reference_values.min()),
+        )
+        rows_bound = max(int(work_rows.max()), -int(work_rows.min()))
+        growth = (2 * value_bound + int(bonus) + 1) * max(lengths)
+        if rows_bound + growth < 2**28 and ckernel.load() is not None:
+            if stats is not None:
+                stats.c_calls += 1
+            rows32 = work_rows.astype(np.int32, copy=False)
+            dwell = np.ascontiguousarray(np.minimum(runs, cap), dtype=np.int32)
+            dwell[fresh] = 0
+            offsets = np.zeros(len(lanes) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            penalty = np.zeros(reference_values.shape[0], dtype=np.int32)
+            penalty[starts] = 2**30
+            _advance_batch_int32(
+                rows32,
+                dwell,
+                query.astype(np.int32),
+                offsets,
+                reference_values.astype(np.int32),
+                penalty,
+                int(bonus),
+                cap,
+            )
+            if rows.dtype == np.int32:
+                return rows32, dwell
+            return rows32.astype(np.int64), dwell.astype(np.int64)
+
+    if stats is not None:
+        stats.generic_calls += 1
+    # Descending length, ties in input order (a stable sort), so every
+    # wavefront step's active lanes are a contiguous row prefix.
+    n_lanes = len(lanes)
     order = sorted(range(n_lanes), key=lambda index: -lengths[index])
     inverse = [0] * n_lanes
     for position, lane_index in enumerate(order):
@@ -690,58 +776,27 @@ def _resume_batch_arrays(
         padded[position, : lengths[lane_index]] = lanes[lane_index]
     order_index = np.asarray(order, dtype=np.intp)
     inverse_index = np.asarray(inverse, dtype=np.intp)
-    sorted_rows = rows[order_index]
-    sorted_runs = runs[order_index]
-    fresh = samples_processed[order_index] == 0
-    sorted_rows[fresh] = 0
-    sorted_runs[fresh] = 0
-
-    use_int_path = int32_data_path(cfg)
-    if use_int_path:
-        # The int32 path needs every intermediate cost to stay far from the
-        # sentinel; bound it by what this call can add to what the state holds.
-        value_bound = max(
-            int(np.max(np.abs(padded))), int(np.max(np.abs(reference_values)))
-        )
-        rows_bound = int(np.max(np.abs(sorted_rows)))
-        growth = (2 * value_bound + int(bonus) + 1) * padded.shape[1]
-        use_int_path = rows_bound + growth < 2**28
-
+    sorted_runs = runs[order_index].astype(np.int64, copy=False)
+    sorted_runs[fresh[order_index]] = 0
     # Non-zero panel block boundaries as an index array (None for the
-    # single-block case so the kernels skip the sentinel writes).
+    # single-block case so the kernel skips the sentinel writes).
     inner_index = (
         np.asarray([int(start) for start in starts[1:]], dtype=np.intp)
         if starts.size > 1
         else None
     )
-    if use_int_path:
-        out_rows, out_runs = _advance_batch_int32(
-            padded,
-            neg_sorted,
-            sorted_rows,
-            sorted_runs,
-            reference_values,
-            int(bonus),
-            cap,
-            inner_index,
-        )
-        out_rows = out_rows.astype(np.int64)[inverse_index]
-        out_runs = out_runs.astype(np.int64)[inverse_index]
-    else:
-        out_rows, out_runs = _advance_batch_generic(
-            padded,
-            neg_sorted,
-            sorted_rows,
-            sorted_runs,
-            reference_values,
-            cfg,
-            inner_index,
-        )
-        if cfg.quantize and cfg.uses_bonus:
-            out_rows = np.rint(out_rows).astype(np.int64)
-        out_rows = out_rows[inverse_index]
-        out_runs = out_runs[inverse_index]
-    return out_rows, out_runs, processed
+    out_rows, out_runs = _advance_batch_generic(
+        padded,
+        neg_sorted,
+        work_rows[order_index],
+        sorted_runs,
+        reference_values,
+        cfg,
+        inner_index,
+    )
+    if cfg.quantize and cfg.uses_bonus:
+        out_rows = np.rint(out_rows).astype(np.int64)
+    return out_rows[inverse_index], out_runs[inverse_index]
 
 
 def _resume_batch_pruned(
@@ -822,16 +877,20 @@ def _resume_batch_pruned(
     sub_samples = samples_processed[surviving_index]
     advanced_width = 0
     for lo, hi in spans:
-        sub_starts = tile_block_starts(starts, lo, hi)
-        advanced_rows, advanced_runs, _ = _resume_batch_arrays(
+        advanced_rows, advanced_runs = _wavefront(
             sub_lanes,
             reference_values[lo:hi],
             cfg,
             rows[surviving_index][:, lo:hi],
             runs[surviving_index][:, lo:hi],
             sub_samples,
-            block_starts=sub_starts,
+            tile_block_starts(starts, lo, hi),
+            stats,
         )
+        if advanced_rows.dtype.itemsize > out_rows.dtype.itemsize:
+            # The oracle returned int64: widen int32 state before storing into
+            # it (numpy's setitem casts silently).
+            out_rows, out_runs = out_rows.astype(np.int64), out_runs.astype(np.int64)
         out_rows[:, lo:hi][surviving_index] = advanced_rows
         out_runs[:, lo:hi][surviving_index] = advanced_runs
         advanced_width += hi - lo
@@ -842,69 +901,34 @@ def _resume_batch_pruned(
 
 
 def _advance_batch_int32(
-    padded: np.ndarray,
-    neg_sorted: List[int],
-    rows_in: np.ndarray,
-    runs_in: np.ndarray,
-    reference_values: np.ndarray,
+    rows: np.ndarray,
+    dwell: np.ndarray,
+    query: np.ndarray,
+    offsets: np.ndarray,
+    reference: np.ndarray,
+    penalty: np.ndarray,
     bonus: int,
     cap: int,
-    inner_index: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer wavefront over lane-sorted state (the hardware data path).
+) -> None:
+    """Compiled integer wavefront (the hardware data path), in place.
 
-    All quantities are exact small integers, so ``int32`` arithmetic matches
-    the float64 scalar kernel bit for bit while halving memory traffic. The
-    dwell counters enter the recurrence only through ``bonus * min(run,
-    cap)``, which is carried directly as a saturating per-column table —
-    turning the scalar kernel's shift/minimum/multiply/where cascade into
-    in-place ``minimum``/``add`` passes over contiguous prefixes — and come
-    back as the capped counters ``min(run, cap)`` (unchanged without a
-    bonus). ``inner_index`` holds the non-zero panel block boundaries; they
-    receive the same sentinel as column 0, severing the diagonal between
-    targets. Scalars stay plain Python ints: NumPy keeps the array's
-    ``int32`` dtype when combining with weak Python scalars.
+    Lane ``k`` advances row ``k`` of ``rows`` and ``dwell`` (the capped
+    dwell ``min(run, cap)``) over ``query[offsets[k]:offsets[k + 1]]``, one
+    step per sample, with ``penalty`` (``2**30`` at each panel block start)
+    severing the diagonal between targets. The C loop in ``_sdtw_kernel.c``
+    runs the integer operations of :func:`sdtw_resume` in ``int32``; the
+    caller guarantees the range that makes them exact.
     """
-    n_lanes, reference_length = rows_in.shape
-    big = 2**29
-    cap_bonus = bonus * cap
-
-    rows = rows_in.astype(np.int32)
-    runs = runs_in.astype(np.int32)
-    query = padded.astype(np.int32)
-    reference32 = reference_values.astype(np.int32)
-    bonus_of = None
-    if bonus:
-        bonus_of = bonus * np.minimum(runs, cap)
-
-    local = np.empty((n_lanes, reference_length), dtype=np.int32)
-    diagonal = np.empty((n_lanes, reference_length), dtype=np.int32)
-    take = np.empty((n_lanes, reference_length), dtype=np.bool_)
-    for step in range(padded.shape[1]):
-        k = bisect_left(neg_sorted, -step)
-        row_view = rows[:k]
-        local_view = local[:k]
-        diagonal_view = diagonal[:k]
-        take_view = take[:k]
-        np.subtract(query[:k, step][:, None], reference32[None, :], out=local_view)
-        np.abs(local_view, out=local_view)
-        if bonus:
-            np.subtract(row_view[:, :-1], bonus_of[:k, :-1], out=diagonal_view[:, 1:])
-        else:
-            diagonal_view[:, 1:] = row_view[:, :-1]
-        diagonal_view[:, 0] = big
-        if inner_index is not None:
-            diagonal_view[:, inner_index] = big
-        if bonus:
-            np.less(diagonal_view, row_view, out=take_view)
-        np.minimum(row_view, diagonal_view, out=row_view)
-        row_view += local_view
-        if bonus:
-            bonus_view = bonus_of[:k]
-            bonus_view += bonus
-            np.minimum(bonus_view, cap_bonus, out=bonus_view)
-            np.copyto(bonus_view, bonus, where=take_view)
-    return rows, (bonus_of // bonus if bonus else runs)
+    n_lanes, n_columns = rows.shape
+    if (
+        dwell.shape != rows.shape
+        or offsets.shape != (n_lanes + 1,)
+        or int(offsets[-1]) != query.shape[0]
+        or reference.shape != (n_columns,)
+        or penalty.shape != (n_columns,)
+    ):
+        raise ValueError("int32 wavefront arrays disagree in shape")
+    ckernel.load()(n_lanes, n_columns, rows, dwell, query, offsets, reference, penalty, bonus, cap)
 
 
 def _advance_batch_generic(

@@ -317,6 +317,16 @@ class Tracer:
         self._records.clear()
         self._phases.clear()
 
+    def clear_records(self) -> None:
+        """Drop the flight recorder but keep the phase totals.
+
+        For an owner that reads only :meth:`phase_totals` (the serving
+        layer's per-round metrics): calling this after each round keeps the
+        recorder at most one round long. Call it with no span open on another
+        thread.
+        """
+        self._records.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "enabled" if self.enabled else "disabled"
         return f"Tracer({state}, track={self.track!r}, records={len(self._records)})"

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core import ckernel
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
 from repro.runtime.config import RunConfig, resolve_auto
 from repro.sequencer.read_until_api import check_round_chunks
@@ -353,7 +354,11 @@ class ReadUntilSession:
 
         Always includes ``round_wall_s`` (total wall seconds spent inside
         round submissions); once the engine has spawned, ``n_polls`` and
-        ``busy_rounds`` account idle vs busy polling rounds. With tracing
+        ``busy_rounds`` account idle vs busy polling rounds, and ``kernel``
+        says which wavefront ran: ``compiled`` (whether the compiled C
+        kernel is loaded in this process), ``c_calls`` and
+        ``generic_calls`` (wavefront calls on the C kernel and on the numpy
+        oracle, over every kernel thread). With tracing
         enabled, ``phase_totals`` breaks the wall time down per span name
         (count / total / self seconds, from the tracer's accumulating view).
         A ``backend="auto"`` session adds the resolved point under ``auto``.
@@ -392,6 +397,12 @@ class ReadUntilSession:
             summary["cells_pruned"] = engine.cells_pruned
             summary["lanes_lb_skipped"] = engine.lanes_lb_skipped
             summary["cells_lb_skipped"] = engine.cells_lb_skipped
+            stats = engine.backend.stats
+            summary["kernel"] = {
+                "compiled": ckernel.loaded(),
+                "c_calls": stats.c_calls,
+                "generic_calls": stats.generic_calls,
+            }
         if self._tracer.enabled:
             summary["phase_totals"] = {
                 name: stat.as_dict()

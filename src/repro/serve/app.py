@@ -21,9 +21,10 @@ Error mapping: config/chunk validation -> 400 (the ``RunConfig`` message,
 naming the offending field), unknown session -> 404, closed session or
 concurrent round -> 409, pool saturation -> 429 with a ``Retry-After``
 header (admission control, not failure — clients retry and no round is
-ever dropped), draining -> 503. On the stdlib transport a malformed or
+ever dropped), draining -> 503. On the stdlib transport a request line
+that is not ``METHOD TARGET HTTP-VERSION`` gets 400, a malformed or
 negative ``Content-Length`` gets 400 and a body above :data:`MAX_BODY_BYTES`
-gets 413; both close the connection without reading the body. A request
+gets 413; each closes the connection without reading further. A request
 head over :data:`MAX_HEADER_BYTES` or with more than
 :data:`MAX_HEADER_LINES` header lines gets 431 and the connection closes.
 
@@ -321,7 +322,11 @@ async def _read_request(
     try:
         method, target, _version = request_line.decode("latin-1").split(None, 2)
     except ValueError:
-        return None
+        raise _FramingError(
+            400,
+            f"request line: expected 'METHOD TARGET HTTP-VERSION', got "
+            f"{request_line[:100].decode('latin-1').strip()!r}",
+        ) from None
     head_bytes = len(request_line)
     headers: Dict[str, str] = {}
     n_lines = 0

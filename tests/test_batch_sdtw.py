@@ -228,6 +228,21 @@ class TestBatchEngine:
         assert engine.peak_occupancy == 2
         assert engine.rounds[0].n_samples == 8
 
+    def test_occupancy_aggregates_match_the_round_list(self, rng):
+        """The running peak and mean equal what the round list gives, across
+        idle polls, lane growth and retirement."""
+        engine = BatchSDTWEngine(rng.integers(-127, 128, 20), initial_capacity=2)
+        assert (engine.peak_occupancy, engine.mean_occupancy) == (0, 0.0)
+        schedule = [("ab", ""), ("", ""), ("abcde", "ab"), ("c", ""), ("", "cde"), ("fg", "")]
+        for keys, retired in schedule:
+            engine.step([(key, rng.integers(-127, 128, 3)) for key in keys])
+            for key in retired:
+                engine.retire(key)
+            lanes = [entry.n_lanes for entry in engine.rounds]
+            assert engine.peak_occupancy == max(lanes, default=0)
+            assert engine.mean_occupancy == (float(np.mean(lanes)) if lanes else 0.0)
+        assert engine.capacity > 2 and engine.n_polls == len(schedule)
+
 
 # --------------------------------------------------------------- scheduler
 class TestBatchTraceScheduling:

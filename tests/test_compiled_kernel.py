@@ -1,0 +1,262 @@
+"""Tests for the compiled int32 sDTW kernel and the state it keeps.
+
+The contract under test: on the hardware data path the compiled C kernel
+runs every call whose values stay in its range, the numpy backend keeps
+its lane state as int32 and widens it to int64 for good when a call leaves
+that range, and with no compiler the numpy oracle makes the same decisions.
+"""
+
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.batch.backends import NumpyBackend
+from repro.batch.classifier import BatchSquiggleClassifier
+from repro.batch.engine import BatchSDTWEngine
+from repro.core import ckernel
+from repro.core.config import SDTWConfig
+from repro.core.sdtw import AdvanceStats, BatchSDTWState, sdtw_resume, sdtw_resume_batch
+from repro.runtime import RunConfig, open_session
+
+# The guard-crossing read of test_batch_sdtw: kernel-scale samples of about
+# +-3e6 in 20-sample chunks leave the int32 kernel's range after a few chunks.
+_GUARD_RNG = np.random.default_rng(0)
+GUARD_REFERENCE = _GUARD_RNG.integers(-3_000_000, 3_000_001, 40)
+GUARD_READ = _GUARD_RNG.integers(-3_000_000, 3_000_001, 200)
+
+
+N_LANES = 8
+N_CROSSING = 4
+
+
+def _guard_rounds():
+    """Ten rounds over eight lanes.
+
+    Lanes 0-3 stream rotations of the guard-crossing read, 20 samples a
+    round, so their lane groups leave the int32 kernel's range in the same
+    round and race to widen the storage. Lanes 4-7 take one sample a round,
+    which keeps them in range all run, so with 2, 3 or 8 threads the last
+    group still runs the kernel and writes int32 rows in that round.
+    """
+    reads = [np.roll(GUARD_READ, 20 * lane) for lane in range(N_CROSSING)]
+    return [
+        [read[index * 20 : (index + 1) * 20] for read in reads]
+        + [GUARD_READ[lane + index : lane + index + 1] for lane in range(N_CROSSING, N_LANES)]
+        for index in range(10)
+    ]
+
+
+def _read_only(monkeypatch, directory):
+    """Make ``directory`` read-only, also to a root user, who ignores mode
+    bits (the loader asks ``os.access``)."""
+    directory.chmod(0o555)
+    real_access = os.access
+
+    def access(path, mode, *args, **kwargs):
+        if mode & os.W_OK and Path(path) == directory:
+            return False
+        return real_access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+
+
+@pytest.fixture
+def kernel_copy(monkeypatch, tmp_path):
+    """The kernel source copied into its own directory, with a fresh loader."""
+    source = tmp_path / "package" / ckernel.SOURCE.name
+    source.parent.mkdir()
+    source.write_bytes(ckernel.SOURCE.read_bytes())
+    monkeypatch.setattr(ckernel, "SOURCE", source)
+    monkeypatch.setattr(ckernel, "_LOADER", ckernel._Loader())
+    yield source
+    cache = source.parent / "__pycache__"
+    if cache.exists():
+        cache.chmod(0o755)  # so the temporary directory can be removed
+
+
+class TestCompiledKernel:
+    def test_compiled_kernel_runs_the_hardware_config(self, rng):
+        reference = rng.integers(-127, 128, 50)
+        queries = [rng.integers(-127, 128, n) for n in (30, 12)]
+        with BatchSDTWEngine(reference, SDTWConfig.hardware()) as engine:
+            snapshots = engine.step(list(zip("ab", queries)))
+            stats = engine.backend.stats
+            assert (stats.c_calls, stats.generic_calls) == (1, 0)
+            assert engine.backend.gather(np.arange(2)).rows.dtype == np.int32
+            for key, query in zip("ab", queries):
+                assert snapshots[key].cost == sdtw_resume(query, reference).cost
+        assert ckernel.loaded()
+
+    def test_bonus_free_config_returns_capped_dwell(self, rng):
+        """Without a bonus the kernel still returns min(run, cap), restarting
+        from zero dwell for a lane that has processed no samples."""
+        config = SDTWConfig(
+            distance="absolute", allow_reference_deletions=False, quantize=True,
+            match_bonus=0.0, match_bonus_cap=4,
+        )
+        reference = rng.integers(-127, 128, 30)
+        first = [rng.integers(-127, 128, n) for n in (9, 5)]
+        second = [rng.integers(-127, 128, n) for n in (6, 7)]
+        state = sdtw_resume_batch(first, reference, config)
+        # Lane 1 restarts with the dwell of its previous read still stored.
+        restarted = BatchSDTWState(
+            state.rows, state.runs, np.array([state.samples_processed[0], 0])
+        )
+        stats = AdvanceStats()
+        state = sdtw_resume_batch(second, reference, config, state=restarted, stats=stats)
+        assert (stats.c_calls, stats.generic_calls) == (1, 0)
+        expected = [
+            sdtw_resume(second[0], reference, config, state=sdtw_resume(first[0], reference, config)),
+            sdtw_resume(second[1], reference, config),
+        ]
+        for lane, scalar in enumerate(expected):
+            assert np.array_equal(state.rows[lane], scalar.row)
+            assert np.array_equal(np.minimum(state.runs[lane], 4), np.minimum(scalar.run, 4))
+
+    def test_read_only_cache_loads_the_cached_library(self, monkeypatch, kernel_copy):
+        assert ckernel.load() is not None  # builds into __pycache__ beside the copy
+        cache = kernel_copy.parent / "__pycache__"
+        built = sorted(cache.iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+        _read_only(monkeypatch, cache)
+
+        def no_compile(*args):
+            raise AssertionError("a cached library was compiled again")
+
+        monkeypatch.setattr(ckernel, "_compile", no_compile)
+        monkeypatch.setattr(ckernel, "_LOADER", ckernel._Loader())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ckernel.load() is not None
+        assert sorted(cache.iterdir()) == built
+
+    def test_read_only_cache_builds_privately_and_removes_the_build(
+        self, monkeypatch, tmp_path, kernel_copy
+    ):
+        cache = kernel_copy.parent / "__pycache__"
+        cache.mkdir()
+        _read_only(monkeypatch, cache)
+        private_root = tmp_path / "tmp"
+        private_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private_root))
+        function = ckernel.load()
+        assert function is not None
+        assert list(private_root.iterdir()) == [] and list(cache.iterdir()) == []
+
+        # The loaded kernel outlives its file.
+        config = SDTWConfig.hardware()
+        reference = np.array([3, -2, 7, 0, 5], dtype=np.int32)
+        query = np.array([2, 7, -1, 4], dtype=np.int32)
+        rows = np.zeros((1, reference.size), dtype=np.int32)
+        dwell = np.zeros_like(rows)
+        penalty = np.zeros_like(reference)
+        penalty[0] = 2**30
+        offsets = np.array([0, query.size], dtype=np.int64)
+        function(1, reference.size, rows, dwell, query, offsets, reference, penalty,
+                 int(config.match_bonus), config.match_bonus_cap)
+        assert np.array_equal(rows[0], sdtw_resume(query, reference, config).row)
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["brute", "pruned"])
+    @pytest.mark.parametrize(
+        "workers", [None, 2, 3, 8], ids=["1-thread", "2-workers", "3-workers", "8-workers"]
+    )
+    def test_guard_crossing_widens_storage_once(self, workers, prune):
+        """Rows and capped runs match sdtw_resume after every round while
+        the storage widens from int32 to int64, also when several thread
+        groups widen it at once and another writes int32 rows (8 groups on
+        fewer cores, with a short switch interval: a lost write breaks the
+        row check)."""
+        config = SDTWConfig.hardware()
+        cap = config.match_bonus_cap
+        lanes = np.arange(N_LANES)
+        # Finite bounds no cost reaches: the pruned path runs, prunes nothing.
+        bounds = np.full(N_LANES, 1e300) if prune else None
+        backend = NumpyBackend(GUARD_REFERENCE, config, capacity=N_LANES, workers=workers)
+        scalar = [None] * N_LANES
+        dtypes, calls = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunks in _guard_rounds():
+                backend.advance(lanes, chunks, prune_bounds=bounds)
+                state = backend.gather(lanes)
+                dtypes.append(state.rows.dtype)
+                calls.append((backend.stats.c_calls, backend.stats.generic_calls))
+                assert state.runs.dtype == state.rows.dtype
+                for lane, chunk in enumerate(chunks):
+                    if chunk.size:
+                        scalar[lane] = sdtw_resume(
+                            chunk, GUARD_REFERENCE, config, state=scalar[lane]
+                        )
+                    if scalar[lane] is None:
+                        continue
+                    assert np.array_equal(state.rows[lane], scalar[lane].row)
+                    assert np.array_equal(
+                        np.minimum(state.runs[lane], cap), np.minimum(scalar[lane].run, cap)
+                    )
+                    assert state.samples_processed[lane] == scalar[lane].samples_processed
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        assert dtypes[0] == np.int32 and dtypes[-1] == np.int64
+        # Once wide, never narrowed again.
+        first_wide = dtypes.index(np.int64)
+        assert all(dtype == np.int64 for dtype in dtypes[first_wide:])
+        (c_before, generic_before), (c_after, generic_after) = calls[
+            first_wide - 1 : first_wide + 1
+        ]
+        assert generic_after > generic_before
+        if workers is not None:
+            # In the widening round the crossing lanes' groups ran the oracle
+            # while the last group ran the kernel and wrote int32 storage.
+            assert c_after > c_before
+
+    def test_without_a_compiler_the_oracle_decides_identically(
+        self, monkeypatch, reference_squiggle, target_genome, target_signals,
+        nontarget_signals, balanced_reads,
+    ):
+        threshold = BatchSquiggleClassifier(
+            reference_squiggle, prefix_samples=800
+        ).calibrate(target_signals, nontarget_signals, chunk_samples=400)
+        config = RunConfig(
+            reference=reference_squiggle,
+            threshold=threshold,
+            prefix_samples=800,
+            chunk_samples=400,
+            n_channels=8,
+        )
+
+        def run():
+            with open_session(config) as session:
+                result = session.run(balanced_reads, target_genome=target_genome)
+                summary = session.summary()
+            decisions = {
+                outcome.read.read_id: (
+                    outcome.ejected,
+                    outcome.decision.cost if outcome.decision else None,
+                    outcome.decision.end_position if outcome.decision else None,
+                )
+                for outcome in result.session.outcomes
+            }
+            return decisions, summary["kernel"]
+
+        compiled, compiled_kernel = run()
+        assert compiled_kernel["compiled"] and compiled_kernel["c_calls"] > 0
+        assert compiled_kernel["generic_calls"] == 0
+
+        monkeypatch.setattr(ckernel, "COMPILER", "repro-test-no-such-compiler")
+        monkeypatch.setattr(ckernel, "_LOADER", ckernel._Loader())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fallback, fallback_kernel = run()
+        runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime_warnings) == 1
+        assert "repro-test-no-such-compiler" in str(runtime_warnings[0].message)
+        assert fallback == compiled
+        assert fallback_kernel["compiled"] is False
+        assert fallback_kernel["c_calls"] == 0 and fallback_kernel["generic_calls"] > 0

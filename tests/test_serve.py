@@ -91,6 +91,16 @@ class TestMetricsRegistry:
         assert 'latency{quantile="0.5"} 50' in text
         assert "latency_count 100" in text
 
+    def test_summary_keeps_only_the_most_recent_reservoir(self):
+        metrics = MetricsRegistry(quantiles=(0.5, 1.0), reservoir=4)
+        for value in range(1, 11):
+            metrics.observe("latency", float(value))
+        assert metrics.summary_count("latency") == 4
+        assert metrics.percentiles("latency") == {0.5: 8.0, 1.0: 10.0}
+        text = metrics.render()
+        assert "latency_count 4" in text
+        assert "latency_sum 34" in text
+
     def test_label_order_does_not_split_series(self):
         metrics = MetricsRegistry()
         metrics.inc("m", session="s", kind="accept")
@@ -255,6 +265,35 @@ class TestSessionManagerConfig:
                 assert "repro_serve_tuned_backend" in text
                 assert f'backend="{first["backend"]}"' in text
                 assert "cache_hit" not in text
+            finally:
+                await manager.drain()
+                await manager.pool.close()
+
+        run(scenario())
+
+    def test_served_session_keeps_phase_totals_not_span_records(self):
+        """Regression: every served session kept a flight recorder of up to
+        65,536 span records that nothing read. The recorder is now emptied
+        after each round, while the phase totals behind /metrics' per-phase
+        round series keep accumulating."""
+
+        async def scenario():
+            metrics = MetricsRegistry()
+            manager = self._manager(metrics=metrics)
+            try:
+                session_id = manager.create(service_config())["session_id"]
+                session = manager._get(session_id).session
+                for index in range(4):
+                    chunks = [
+                        wire_chunk(f"r{index}-{lane}", seed=index, channel=lane)
+                        for lane in range(2)
+                    ]
+                    await manager.submit_round(session_id, chunks)
+                    assert session.trace() == []
+                assert session.tracer.phase_totals()["engine.step"].count == 4
+                text = metrics.render()
+                assert "repro_serve_round_phase_seconds" in text
+                assert 'phase="engine.step"' in text
             finally:
                 await manager.drain()
                 await manager.pool.close()
@@ -554,6 +593,22 @@ class TestRequestFraming:
         assert b"Connection: close" in head
         assert json.loads(body)["error"].startswith("headers")
         assert serve_client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "request_line", [b"GARBAGE", b"GET /health"], ids=["one_token", "no_version"]
+    )
+    def test_malformed_request_line_gets_400_then_closed(self, serve_server, request_line):
+        """Regression: a request line that is not METHOD TARGET VERSION got
+        no answer at all; the connection just closed."""
+        reply = _raw_exchange(serve_server, request_line + b"\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"].startswith("request line")
+        reply = _raw_exchange(
+            serve_server, b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 200 OK"), reply[:80]
 
     def test_request_head_at_both_caps_is_served(self, serve_server):
         """A head of exactly MAX_HEADER_LINES lines within MAX_HEADER_BYTES
