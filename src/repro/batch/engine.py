@@ -43,7 +43,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 __all__ = ["BatchRound", "BatchSDTWEngine", "LaneSnapshot"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchRound:
     """Occupancy record of one busy engine step.
 
@@ -280,8 +280,11 @@ class BatchSDTWEngine:
         self._kill_envelope = np.full(capacity, np.inf, dtype=np.float64)
         self.rounds: List[BatchRound] = []
         self._n_polls = 0
-        # Running totals over `rounds`, so the occupancy gauges a service
-        # reads every round cost O(1) however long the session runs.
+        # Running totals over every busy round, so the occupancy gauges a
+        # service reads every round cost O(1) however long the session runs,
+        # and stay whole when a caller that never replays the trace empties
+        # `rounds` to keep its memory flat.
+        self._busy_rounds = 0
         self._lane_rounds = 0
         self._peak_lanes = 0
 
@@ -362,14 +365,16 @@ class BatchSDTWEngine:
     def _lane_snapshot(self, key: Hashable, lane: int) -> LaneSnapshot:
         lane_costs = self._costs[lane]
         best = int(np.argmin(lane_costs))  # ties: first target in panel order
+        # One float per target, shared by `cost`: a decision keeps both.
+        target_costs = tuple(lane_costs.tolist())
         return LaneSnapshot(
             key=key,
-            cost=float(lane_costs[best]),
+            cost=target_costs[best],
             end_position=int(self._ends[lane, best]),
             samples_processed=int(self._samples[lane]),
             target=self.target_names[best],
-            target_costs=tuple(float(cost) for cost in lane_costs),
-            target_ends=tuple(int(end) for end in self._ends[lane]),
+            target_costs=target_costs,
+            target_ends=tuple(self._ends[lane].tolist()),
         )
 
     def snapshot(self, key: Hashable) -> LaneSnapshot:
@@ -513,6 +518,7 @@ class BatchSDTWEngine:
             self.rounds.append(
                 BatchRound(index=poll, n_lanes=len(keys), n_samples=int(lengths.sum()))
             )
+            self._busy_rounds += 1
             self._lane_rounds += len(keys)
             self._peak_lanes = max(self._peak_lanes, len(keys))
 
@@ -581,11 +587,18 @@ class BatchSDTWEngine:
         return self._n_polls
 
     @property
+    def busy_rounds(self) -> int:
+        """Polls that listed at least one lane, also those whose records have
+        left :attr:`rounds`."""
+        return self._busy_rounds
+
+    @property
     def occupancy_trace(self) -> List[int]:
         """Per-poll active-lane counts — the multi-tile dispatch request trace.
 
         Dense over every poll (idle polls contribute a zero), so index ``r``
         maps to time ``r * round_duration`` when the trace is replayed.
+        Polls whose records were removed from :attr:`rounds` read zero.
         """
         trace = [0] * self._n_polls
         for entry in self.rounds:
@@ -600,6 +613,6 @@ class BatchSDTWEngine:
     @property
     def mean_occupancy(self) -> float:
         """Mean lanes per *busy* round (idle polls excluded)."""
-        if not self.rounds:
+        if not self._busy_rounds:
             return 0.0
-        return self._lane_rounds / len(self.rounds)
+        return self._lane_rounds / self._busy_rounds

@@ -47,6 +47,7 @@ FLAGS = ("-O3", "-shared", "-fPIC")
 _ROWS = np.ctypeslib.ndpointer(np.int32, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _INT32 = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
 _INT64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_HALO = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
 
 
 class _Loader:
@@ -82,7 +83,12 @@ def load() -> Optional[Callable[..., None]]:
 
     ``None`` when no compiler could build it (one ``RuntimeWarning`` said
     why). Its arguments are ``(n_lanes, n_columns, rows, dwell, query,
-    offsets, reference, penalty, bonus, cap)``; see ``_sdtw_kernel.c``.
+    offsets, reference, penalty, bonus, cap, halo)``: ``rows`` and ``dwell``
+    are the ``(n_lanes, n_columns)`` int32 lane state it advances in place,
+    lane ``k``'s samples are ``query[offsets[k]:offsets[k + 1]]``,
+    ``penalty`` is ``2**30`` at each panel block start and 0 elsewhere, and
+    ``halo`` is int32 working space with one entry per sample of the longest
+    chunk, which the kernel overwrites. See ``_sdtw_kernel.c``.
     """
     return _LOADER.get()
 
@@ -141,6 +147,7 @@ def _bind(library: ctypes.CDLL) -> Callable[..., None]:
         _INT32, _INT64,  # query, offsets
         _INT32, _INT32,  # reference, penalty
         ctypes.c_int32, ctypes.c_int32,  # bonus, cap
+        _HALO,  # halo
     ]
     function.restype = None
     return function

@@ -916,7 +916,9 @@ def _advance_batch_int32(
     dwell ``min(run, cap)``) over ``query[offsets[k]:offsets[k + 1]]``, one
     step per sample, with ``penalty`` (``2**30`` at each panel block start)
     severing the diagonal between targets. The C loop in ``_sdtw_kernel.c``
-    runs the integer operations of :func:`sdtw_resume` in ``int32``; the
+    runs the integer operations of :func:`sdtw_resume` in ``int32``, one
+    L1-sized column tile at a time, passing each step's edge to the next
+    tile through ``halo`` (one entry per sample of the longest chunk); the
     caller guarantees the range that makes them exact.
     """
     n_lanes, n_columns = rows.shape
@@ -928,7 +930,10 @@ def _advance_batch_int32(
         or penalty.shape != (n_columns,)
     ):
         raise ValueError("int32 wavefront arrays disagree in shape")
-    ckernel.load()(n_lanes, n_columns, rows, dwell, query, offsets, reference, penalty, bonus, cap)
+    halo = np.empty(int(np.diff(offsets).max(initial=0)), dtype=np.int32)
+    ckernel.load()(
+        n_lanes, n_columns, rows, dwell, query, offsets, reference, penalty, bonus, cap, halo
+    )
 
 
 def _advance_batch_generic(

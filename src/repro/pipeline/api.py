@@ -60,7 +60,7 @@ _KINDS = (ACCEPT, EJECT, WAIT)
 _SIMULATOR_ACTIONS = {ACCEPT: "stop_receiving", EJECT: "unblock", WAIT: "wait"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One streaming classification decision for the read currently in a pore.
 

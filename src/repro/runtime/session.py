@@ -354,7 +354,9 @@ class ReadUntilSession:
 
         Always includes ``round_wall_s`` (total wall seconds spent inside
         round submissions); once the engine has spawned, ``n_polls`` and
-        ``busy_rounds`` account idle vs busy polling rounds, and ``kernel``
+        ``busy_rounds`` account idle vs busy polling rounds (running counts:
+        the summary's size does not grow with the rounds run; the per-poll
+        occupancy trace is ``engine.occupancy_trace``), and ``kernel``
         says which wavefront ran: ``compiled`` (whether the compiled C
         kernel is loaded in this process), ``c_calls`` and
         ``generic_calls`` (wavefront calls on the C kernel and on the numpy
@@ -388,11 +390,10 @@ class ReadUntilSession:
         if self._classifier is not None:
             engine = self._classifier.engine
             summary["targets"] = list(engine.target_names)
-            summary["batch_occupancy"] = list(engine.occupancy_trace)
             summary["peak_batch_lanes"] = engine.peak_occupancy
             summary["mean_batch_lanes"] = engine.mean_occupancy
             summary["n_polls"] = engine.n_polls
-            summary["busy_rounds"] = len(engine.rounds)
+            summary["busy_rounds"] = engine.busy_rounds
             summary["cells_advanced"] = engine.cells_advanced
             summary["cells_pruned"] = engine.cells_pruned
             summary["lanes_lb_skipped"] = engine.lanes_lb_skipped

@@ -100,7 +100,7 @@ class ChannelState:
     time_busy_until_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadUntilActionLog:
     """Per-read record of what the client did and what it cost."""
 

@@ -35,7 +35,7 @@ import asyncio
 import re
 import sys
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,9 +152,10 @@ class _ManagedSession:
         # Cumulative per-phase self time already folded into the metrics
         # registry; _record_round observes the delta each round.
         self.phase_seen: Dict[str, float] = {}
-        # Cumulative engine cell counters already folded into the registry;
-        # _record_round increments the counters by each round's delta.
-        self.cells_seen: Dict[str, int] = {}
+        # Cumulative engine cell and kernel-call counters already folded into
+        # the registry; _record_round increments the counters by each round's
+        # delta.
+        self.counts_seen: Dict[Tuple[str, ...], int] = {}
 
 
 class SessionManager:
@@ -197,6 +198,11 @@ class SessionManager:
         self.metrics.describe(
             "repro_serve_cells_lb_skipped_total",
             "sDTW wavefront cells skipped by the lower-bound lane gate per session",
+        )
+        self.metrics.describe(
+            "repro_serve_kernel_calls_total",
+            "sDTW wavefront calls per session, by the path that ran them: the "
+            "compiled C kernel (path=c) or the numpy oracle (path=generic)",
         )
         self.metrics.describe(
             "repro_serve_tuned_backend",
@@ -357,16 +363,23 @@ class SessionManager:
                 )
         engine = managed.session.engine
         if engine is not None:
-            for metric, attribute in (
-                ("repro_serve_cells_advanced_total", "cells_advanced"),
-                ("repro_serve_cells_pruned_total", "cells_pruned"),
-                ("repro_serve_cells_lb_skipped_total", "cells_lb_skipped"),
+            # Nothing here replays the occupancy trace, and the running
+            # totals behind the summary and the gauges below survive this,
+            # so a long-lived tenant keeps no record per round.
+            engine.rounds.clear()
+            stats = engine.backend.stats
+            for metric, total, labels in (
+                ("repro_serve_cells_advanced_total", engine.cells_advanced, {}),
+                ("repro_serve_cells_pruned_total", engine.cells_pruned, {}),
+                ("repro_serve_cells_lb_skipped_total", engine.cells_lb_skipped, {}),
+                ("repro_serve_kernel_calls_total", stats.c_calls, {"path": "c"}),
+                ("repro_serve_kernel_calls_total", stats.generic_calls, {"path": "generic"}),
             ):
-                total = getattr(engine, attribute)
-                delta = total - managed.cells_seen.get(attribute, 0)
-                managed.cells_seen[attribute] = total
+                key = (metric, *labels.values())
+                delta = total - managed.counts_seen.get(key, 0)
+                managed.counts_seen[key] = total
                 if delta > 0:
-                    metrics.inc(metric, delta, session=sid)
+                    metrics.inc(metric, delta, session=sid, **labels)
             metrics.set_gauge(
                 "repro_serve_lane_occupancy", engine.mean_occupancy, session=sid, stat="mean"
             )

@@ -14,13 +14,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.batch.backends import NumpyBackend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core import ckernel
 from repro.core.config import SDTWConfig
-from repro.core.sdtw import AdvanceStats, BatchSDTWState, sdtw_resume, sdtw_resume_batch
+from repro.core.sdtw import (
+    AdvanceStats,
+    BatchSDTWState,
+    SDTWState,
+    sdtw_resume,
+    sdtw_resume_batch,
+)
 from repro.runtime import RunConfig, open_session
 
 # The guard-crossing read of test_batch_sdtw: kernel-scale samples of about
@@ -79,6 +87,142 @@ def kernel_copy(monkeypatch, tmp_path):
         cache.chmod(0o755)  # so the temporary directory can be removed
 
 
+# The kernel's column tile (TILE in _sdtw_kernel.c).
+TILE = 1024
+BONUS_CONFIGS = {
+    0: SDTWConfig(
+        distance="absolute", allow_reference_deletions=False, quantize=True,
+        match_bonus=0.0, match_bonus_cap=10,
+    ),
+    10: SDTWConfig.hardware(),
+}
+
+
+@st.composite
+def tile_edge_rounds(draw):
+    """One round whose columns, panel blocks and lanes sit on tile edges.
+
+    Column counts one short of, at and one past a tile (and past two);
+    panel block starts at a tile edge and one column either side of it;
+    lanes with no sample, one sample and ragged chunks, fresh or resumed
+    from stored rows. With ``near_guard`` the samples and reference are
+    about 2**20 and the stored rows are as large as the int32 range guard
+    lets this round take the compiled kernel.
+    """
+    n_columns = draw(st.sampled_from([1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1]))
+    edges = [c for c in (TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE) if c < n_columns]
+    inner = draw(st.lists(st.sampled_from(edges), unique=True, max_size=3)) if edges else []
+    block_starts = draw(st.sampled_from([None, [0, *sorted(inner)]]))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 5, 17, 40]), min_size=1, max_size=6))
+    fresh = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    return dict(
+        n_columns=n_columns,
+        block_starts=block_starts,
+        lengths=lengths,
+        fresh=fresh,
+        bonus=draw(st.sampled_from(sorted(BONUS_CONFIGS))),
+        near_guard=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _tile_edge_inputs(case):
+    """Reference, chunks and the stored int32 state of one tile-edge round."""
+    rng = np.random.default_rng(case["seed"])
+    config = BONUS_CONFIGS[case["bonus"]]
+    bound = 2**20 if case["near_guard"] else 127
+    reference = rng.integers(-bound, bound + 1, case["n_columns"])
+    chunks = [rng.integers(-bound, bound + 1, n) for n in case["lengths"]]
+    n_lanes = len(chunks)
+    # The compiled kernel runs while stored rows plus this round's growth
+    # stay below 2**28 (repro.core.sdtw._wavefront).
+    growth = (2 * bound + case["bonus"] + 1) * max(case["lengths"])
+    rows_bound = 2**28 - 1 - growth if case["near_guard"] else 5_000
+    rows = rng.integers(-rows_bound, rows_bound + 1, (n_lanes, case["n_columns"]))
+    rows[:, rng.integers(case["n_columns"])] = rows_bound
+    runs = rng.integers(0, config.match_bonus_cap + 1, rows.shape)
+    processed = np.where(case["fresh"], 0, rng.integers(1, 500, n_lanes))
+    state = BatchSDTWState(rows.astype(np.int32), runs.astype(np.int32), processed)
+    return config, reference, chunks, state
+
+
+class TestTileEdges:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=tile_edge_rounds())
+    @example(case=dict(
+        n_columns=2 * TILE + 1, block_starts=[0, TILE - 1, TILE, TILE + 1],
+        lengths=[0, 1, 17, 40], fresh=[True, False, True, False], bonus=10,
+        near_guard=True, seed=1,
+    ))
+    @example(case=dict(
+        n_columns=2 * TILE + 1, block_starts=None, lengths=[40, 0, 5],
+        fresh=[False, False, True], bonus=0, near_guard=True, seed=2,
+    ))
+    def test_tiles_match_the_oracles_bit_for_bit(self, case):
+        """Rows and capped dwell from the tiled C kernel equal the numpy
+        oracle wavefront's, each lane's equal per-block sdtw_resume, and
+        the numpy backend on two threads returns the same state."""
+        config, reference, chunks, state = _tile_edge_inputs(case)
+        cap = config.match_bonus_cap
+        starts = case["block_starts"]
+        advances = any(chunk.size for chunk in chunks)
+
+        stats = AdvanceStats()
+        compiled = sdtw_resume_batch(
+            chunks, reference, config, state=state, block_starts=starts, stats=stats
+        )
+        assert (stats.c_calls, stats.generic_calls) == (int(advances), 0)
+        assert compiled.rows.dtype == np.int32
+
+        stats = AdvanceStats()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ckernel, "load", lambda: None)
+            generic = sdtw_resume_batch(
+                chunks, reference, config, state=state, block_starts=starts, stats=stats
+            )
+        assert (stats.c_calls, stats.generic_calls) == (0, int(advances))
+        assert np.array_equal(compiled.rows, generic.rows)
+        assert np.array_equal(np.minimum(compiled.runs, cap), np.minimum(generic.runs, cap))
+
+        edges = [*(starts or [0]), case["n_columns"]]
+        for lane, chunk in enumerate(chunks):
+            if not chunk.size:
+                continue
+            for lo, hi in zip(edges, edges[1:]):
+                before = None
+                if state.samples_processed[lane]:
+                    before = SDTWState(
+                        row=state.rows[lane, lo:hi].astype(np.int64),
+                        run=state.runs[lane, lo:hi].astype(np.int64),
+                        samples_processed=int(state.samples_processed[lane]),
+                    )
+                scalar = sdtw_resume(chunk, reference[lo:hi], config, state=before)
+                assert np.array_equal(compiled.rows[lane, lo:hi], scalar.row)
+                assert np.array_equal(
+                    np.minimum(compiled.runs[lane, lo:hi], cap), np.minimum(scalar.run, cap)
+                )
+
+        lanes = np.arange(len(chunks))
+        backend = NumpyBackend(
+            reference, config, capacity=len(chunks), block_starts=starts, workers=2
+        )
+        try:
+            backend.scatter(lanes, state)
+            backend.advance(lanes, chunks)
+            threaded = backend.gather(lanes)
+        finally:
+            backend.close()
+        assert backend.stats.generic_calls == 0
+        assert np.array_equal(threaded.samples_processed, compiled.samples_processed)
+        # A fresh lane that got no sample has no state yet: a thread group of
+        # such lanes returns their stored rows untouched, one call zeroes them.
+        started = compiled.samples_processed > 0
+        assert np.array_equal(threaded.rows[started], compiled.rows[started])
+        assert np.array_equal(
+            np.minimum(threaded.runs[started], cap), np.minimum(compiled.runs[started], cap)
+        )
+
+
 class TestCompiledKernel:
     def test_compiled_kernel_runs_the_hardware_config(self, rng):
         reference = rng.integers(-127, 128, 50)
@@ -117,6 +261,23 @@ class TestCompiledKernel:
         for lane, scalar in enumerate(expected):
             assert np.array_equal(state.rows[lane], scalar.row)
             assert np.array_equal(np.minimum(state.runs[lane], 4), np.minimum(scalar.run, 4))
+
+    def test_column_zero_takes_no_diagonal_without_a_penalty(self, rng):
+        """The kernel severs column 0's diagonal itself: a caller whose
+        penalty is 0 there (no block start listed) gets sdtw_resume's row."""
+        config = SDTWConfig.hardware()
+        reference = rng.integers(-127, 128, TILE + 3).astype(np.int32)
+        first, second = rng.integers(-127, 128, 9), rng.integers(-127, 128, 6)
+        scalar = sdtw_resume(first, reference, config)
+        rows = scalar.row.astype(np.int32)[None, :]
+        dwell = np.minimum(scalar.run, config.match_bonus_cap).astype(np.int32)[None, :]
+        ckernel.load()(
+            1, reference.size, rows, dwell, second.astype(np.int32),
+            np.array([0, second.size], dtype=np.int64), reference,
+            np.zeros_like(reference), int(config.match_bonus), config.match_bonus_cap,
+            np.empty(second.size, dtype=np.int32),
+        )
+        assert np.array_equal(rows[0], sdtw_resume(second, reference, config, state=scalar).row)
 
     def test_read_only_cache_loads_the_cached_library(self, monkeypatch, kernel_copy):
         assert ckernel.load() is not None  # builds into __pycache__ beside the copy
@@ -157,8 +318,9 @@ class TestCompiledKernel:
         penalty = np.zeros_like(reference)
         penalty[0] = 2**30
         offsets = np.array([0, query.size], dtype=np.int64)
+        halo = np.empty(query.size, dtype=np.int32)
         function(1, reference.size, rows, dwell, query, offsets, reference, penalty,
-                 int(config.match_bonus), config.match_bonus_cap)
+                 int(config.match_bonus), config.match_bonus_cap, halo)
         assert np.array_equal(rows[0], sdtw_resume(query, reference, config).row)
 
     @pytest.mark.parametrize("prune", [False, True], ids=["brute", "pruned"])

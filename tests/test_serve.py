@@ -62,6 +62,16 @@ def wire_chunk(read_id, n=200, seed=0, last=True, channel=0):
     }
 
 
+def _shape(value):
+    """A JSON value with every list replaced by its length and every scalar
+    by its type: two summaries of one size have equal shapes."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return len(value)
+    return type(value).__name__
+
+
 # --------------------------------------------------------------- metrics
 class TestMetricsRegistry:
     def test_counters_and_gauges_render_prometheus_text(self):
@@ -300,6 +310,42 @@ class TestSessionManagerConfig:
 
         run(scenario())
 
+    def test_served_session_keeps_no_round_records(self):
+        """Regression: every busy round appended a BatchRound to the engine,
+        and the summary carried one occupancy entry per poll, so a served
+        tenant's memory and its summary body grew with every round. The
+        records are now dropped after each round; the counts stay whole."""
+
+        async def scenario():
+            manager = self._manager()
+            n_rounds = 12
+            try:
+                session_id = manager.create(service_config())["session_id"]
+                session = manager._get(session_id).session
+                summaries = []
+                for index in range(n_rounds):
+                    chunks = [
+                        wire_chunk(f"r{index}-{lane}", seed=index, channel=lane)
+                        for lane in range(2)
+                    ]
+                    await manager.submit_round(session_id, chunks)
+                    assert session.engine.rounds == []
+                    summaries.append(manager.summary(session_id))
+                engine = session.engine
+                assert engine.busy_rounds == n_rounds
+                assert (engine.peak_occupancy, engine.mean_occupancy) == (2, 2.0)
+                final = summaries[-1]
+                assert final["busy_rounds"] == n_rounds
+                assert "batch_occupancy" not in final
+                # What GET /v1/sessions/{id}/summary returns has the same
+                # keys and list lengths after 2 rounds as after 12.
+                assert _shape(summaries[1]) == _shape(final)
+            finally:
+                await manager.drain()
+                await manager.pool.close()
+
+        run(scenario())
+
     def test_wire_chunk_validation_names_the_problem(self):
         with pytest.raises(ValueError, match="read_id"):
             chunk_from_payload({"signal": [1.0]})
@@ -404,6 +450,32 @@ class TestHttpEndToEnd:
         assert counter("repro_serve_cells_advanced_total", gated) == 0
         serve_client.close_session(pruned)
         serve_client.close_session(gated)
+
+    def test_metrics_count_kernel_calls_by_path(self, serve_client):
+        """_record_round folds the backend's wavefront-call counters into
+        repro_serve_kernel_calls_total, labelled by the path that ran: the
+        hardware config runs every call on the compiled C kernel."""
+        session_id = serve_client.create_session(service_config(label="kernel"))
+        for round_index in range(3):
+            serve_client.submit_round(
+                session_id,
+                [wire_chunk("k0", seed=round_index, last=round_index == 2)],
+            )
+        kernel = serve_client.summary(session_id)["kernel"]
+        metrics = serve_client.metrics_text()
+
+        def calls(path):
+            prefix = f'repro_serve_kernel_calls_total{{path="{path}",session="{session_id}"}} '
+            for line in metrics.splitlines():
+                if line.startswith(prefix):
+                    return float(line[len(prefix):])
+            return 0.0
+
+        assert "# HELP repro_serve_kernel_calls_total" in metrics
+        assert kernel["c_calls"] > 0
+        assert calls("c") == kernel["c_calls"]
+        assert calls("generic") == kernel["generic_calls"] == 0
+        serve_client.close_session(session_id)
 
     def test_error_statuses_name_the_problem(self, serve_client):
         with pytest.raises(ServeClientError) as excinfo:
