@@ -5,17 +5,17 @@ alignments advance in lockstep; this package is the software analogue. Where
 the scalar hot path runs one :func:`~repro.core.sdtw.sdtw_resume` per read
 per chunk inside a Python loop, the batch subsystem stacks the resumable
 no-deletion recurrence into 2-D state (``channels × reference``) and advances
-every active alignment with one set of NumPy matrix operations per chunk
-round. The subsystem is split into three layers:
+every active alignment with one :func:`~repro.core.sdtw.sdtw_resume_batch`
+call per chunk round (the compiled C kernel on the hardware data path). The
+subsystem is split into three layers:
 
-* :mod:`repro.batch.backends` — the **execution backend** behind a
-  string-keyed registry (:func:`~repro.batch.backends.available_backends`):
-  :class:`NumpyBackend` advances the lane-stacked state in-process, with
-  ``workers`` kernel threads splitting each round's lanes into contiguous
-  groups. It is panel-aware: a multi-target
+* :mod:`repro.batch.backends` — the **execution backend**,
+  :class:`NumpyBackend` (``backend="numpy"``): it advances the lane-stacked
+  state in-process, with ``workers`` kernel threads splitting each round's
+  lanes into contiguous groups. It is panel-aware: a multi-target
   :class:`~repro.core.panel.TargetPanel` advances in the same wavefront and
   reduces per target;
-* :class:`BatchSDTWEngine` — the backend-agnostic **lane manager**: admission
+* :class:`BatchSDTWEngine` — the **lane manager**: admission
   and retirement over recycled lanes, capacity growth, ragged per-round chunk
   lengths, and the per-round occupancy trace the ASIC multi-tile dispatch
   model replays
@@ -30,25 +30,15 @@ the thread count — so batching and threading are purely execution-engine
 changes.
 """
 
-from repro.batch.backends import (
-    ExecutionBackend,
-    NumpyBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from repro.batch.backends import NumpyBackend
 from repro.batch.engine import BatchRound, BatchSDTWEngine, LaneSnapshot
 
 __all__ = [
     "BatchRound",
     "BatchSDTWEngine",
     "BatchSquiggleClassifier",
-    "ExecutionBackend",
     "LaneSnapshot",
     "NumpyBackend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
 ]
 
 

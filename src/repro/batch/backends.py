@@ -1,11 +1,11 @@
-"""Pluggable execution backends for the batched sDTW engine.
+"""The execution backend of the batched sDTW engine.
 
 :class:`~repro.batch.engine.BatchSDTWEngine` is a *lane manager*: it decides
 which read occupies which lane, when lanes are recycled, and what the
 per-round occupancy trace looks like. *Where and how* the lane-stacked
 :class:`~repro.core.sdtw.BatchSDTWState` actually advances is this module's
-job. An :class:`ExecutionBackend` owns the resident DP state and exposes
-three data-movement verbs plus lane bookkeeping:
+job. :class:`NumpyBackend` owns the resident DP state and exposes three
+data-movement verbs plus lane bookkeeping:
 
 * ``advance(lanes, queries)`` — the per-round hot path: feed each listed lane
   its new (kernel-scale) query samples and return the post-advance cost and
@@ -14,7 +14,7 @@ three data-movement verbs plus lane bookkeeping:
   into the backend (snapshots, tests, interop); cold paths;
 * ``allocate`` / ``reset`` — capacity growth and lane recycling.
 
-Backends are **panel-aware**: the reference they hold may be a
+The backend is **panel-aware**: the reference it holds may be a
 :class:`~repro.core.panel.TargetPanel`'s concatenated column space, whose
 per-target offsets arrive as ``block_starts``. ``advance`` returns
 ``(costs, ends)`` of shape ``(n_lanes, n_blocks)`` — one per-target
@@ -22,15 +22,13 @@ cost/local-end pair per lane, bit-identical to independent single-reference
 runs (a plain single reference is one block, so the arrays are just
 ``(n_lanes, 1)``).
 
-Backends live behind a string-keyed registry, mirroring how UNCALLED exposes
-its DTW variants behind a ``METHODS`` mapping. One is registered:
-:class:`NumpyBackend` (``"numpy"``) keeps one :class:`BatchSDTWState` in this
-process and advances it with :func:`~repro.core.sdtw.sdtw_resume_batch`, whose
-compiled C kernel runs every round of the hardware data path (the numpy
-oracle wavefront runs the rest). On that path the state stays resident as
-``int32``. With ``workers=N`` the backend splits each round's lanes into up
-to ``N`` contiguous groups and advances them on ``N`` threads (the C kernel
-runs without the GIL, as do numpy's array loops) — the software analogue of
+:class:`NumpyBackend` keeps one :class:`BatchSDTWState` in this process and
+advances it with :func:`~repro.core.sdtw.sdtw_resume_batch`, whose compiled
+C kernel runs every round of the hardware data path (the oracle,
+:func:`~repro.core.sdtw.sdtw_resume` per lane, runs the rest). On that path
+the state stays resident as ``int32``. With ``workers=N`` the backend splits
+each round's lanes into up to ``N`` contiguous groups and advances them on
+``N`` threads (the C kernel runs without the GIL) — the software analogue of
 the paper assigning each read to an available tile. Every group runs the
 same kernel on its own lanes' state, so costs, rows and therefore Read Until
 decisions are bit-identical whatever ``workers`` is.
@@ -38,7 +36,7 @@ decisions are bit-identical whatever ``workers`` is.
 Every ``advance`` additionally accepts per-lane ``prune_bounds`` (kill
 thresholds for the kernel's pruning layer — see
 :func:`~repro.core.sdtw.sdtw_resume_batch`) and accumulates the
-advanced/pruned cell counts in :attr:`ExecutionBackend.stats`.
+advanced/pruned cell counts in :attr:`NumpyBackend.stats`.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,14 +60,7 @@ from repro.core.sdtw import (
     sdtw_resume_batch,
 )
 
-__all__ = [
-    "ExecutionBackend",
-    "NumpyBackend",
-    "available_backends",
-    "create_backend",
-    "default_workers",
-    "register_backend",
-]
+__all__ = ["NumpyBackend", "default_workers"]
 
 
 def default_workers() -> int:
@@ -81,143 +72,15 @@ def default_workers() -> int:
     return min(8, len(os.sched_getaffinity(0)))
 
 
-class ExecutionBackend(Protocol):
-    """Where the lane-stacked sDTW state lives and how it advances.
-
-    Implementations own one logical ``(capacity, reference_length)``
-    :class:`BatchSDTWState` (however it is physically stored) and must keep
-    per-lane results bit-identical to per-read :func:`sdtw_resume` calls —
-    the lane manager and every layer above it treat backends as
-    interchangeable.
-    """
-
-    backend_name: str
-
-    # Cumulative advanced/pruned cell counts across every ``advance`` call;
-    # the engine reads (and a fresh instance resets) these for telemetry.
-    stats: AdvanceStats
-
-    # Observability hook: the engine hands the backend its tracer, so advance
-    # phases land on the engine's timeline.
-    tracer: Tracer
-
-    @property
-    def capacity(self) -> int:
-        """Lanes currently allocated."""
-        ...
-
-    @property
-    def reference_length(self) -> int: ...
-
-    @property
-    def n_blocks(self) -> int:
-        """Targets in the panel this backend's reference concatenates (>= 1)."""
-        ...
-
-    def allocate(self, min_capacity: int) -> None:
-        """Grow storage to at least ``min_capacity`` lanes (never shrinks).
-
-        Existing lane state is preserved; new lanes come up zeroed. The
-        backend may round the capacity up — callers re-read :attr:`capacity`
-        afterwards.
-        """
-        ...
-
-    def reset(self, lanes: np.ndarray) -> None:
-        """Return the given lanes to the fresh (no samples consumed) state."""
-        ...
-
-    def advance(
-        self,
-        lanes: np.ndarray,
-        queries: Sequence[np.ndarray],
-        prune_bounds: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance each listed lane with its new query samples (the hot path).
-
-        Returns ``(costs, end_positions)`` of shape ``(len(lanes),
-        n_blocks)``: the post-advance cost and block-local end position per
-        lane **per panel target**, bit-identical to independent
-        single-reference runs. The backend updates its resident
-        rows/runs/samples in place. ``prune_bounds`` (one kill threshold per
-        listed lane, ``inf`` = never prune) engages the kernel's pruning
-        layer; it is ``None`` when pruning is off.
-        """
-        ...
-
-    def gather(self, lanes: np.ndarray) -> BatchSDTWState:
-        """Stack the given lanes' state into a fresh :class:`BatchSDTWState`."""
-        ...
-
-    def scatter(self, lanes: np.ndarray, state: BatchSDTWState) -> None:
-        """Write stacked lane state back into the backend's resident storage."""
-        ...
-
-    def close(self) -> None:
-        """Release threads/storage. Idempotent; the backend is unusable after."""
-        ...
-
-
-# ------------------------------------------------------------------- registry
-BackendFactory = Callable[..., ExecutionBackend]
-
-_BACKENDS: Dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
-    """Register an execution-backend factory under a string key (decorator).
-
-    Factories are called as ``factory(reference, config, capacity,
-    block_starts=..., **options)`` and must return an object satisfying
-    :class:`ExecutionBackend`.
-    """
-
-    def wrap(factory: BackendFactory) -> BackendFactory:
-        key = name.lower()
-        if key in _BACKENDS:
-            raise ValueError(f"execution backend {name!r} is already registered")
-        _BACKENDS[key] = factory
-        return factory
-
-    return wrap
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def create_backend(
-    name: str,
-    reference: np.ndarray,
-    config: SDTWConfig,
-    capacity: int,
-    **options: Any,
-) -> ExecutionBackend:
-    """Instantiate a registered execution backend by name.
-
-    An unknown name raises :class:`ValueError` listing
-    :func:`available_backends`, so callers (CLI ``--backend`` choices, spec
-    validation) can surface the registry verbatim.
-    """
-    try:
-        factory = _BACKENDS[name.lower()]
-    except KeyError:
-        known = ", ".join(available_backends()) or "(none)"
-        raise ValueError(
-            f"unknown execution backend {name!r}; available backends: {known}"
-        ) from None
-    return factory(reference, config, capacity, **options)
-
-
-# --------------------------------------------------------------- numpy backend
-@register_backend("numpy")
 class NumpyBackend:
     """In-process execution: one resident :class:`BatchSDTWState`.
 
-    ``advance`` gathers the listed lanes into a contiguous stacked state, runs
-    one :func:`sdtw_resume_batch` wavefront, scatters the advanced rows back
-    and reduces them per target. ``block_starts`` makes the reference a
+    The backend owns one logical ``(capacity, reference_length)`` state and
+    keeps per-lane results bit-identical to per-read
+    :func:`~repro.core.sdtw.sdtw_resume` calls. ``advance`` gathers the
+    listed lanes into a contiguous stacked state, runs one
+    :func:`sdtw_resume_batch` wavefront, scatters the advanced rows back and
+    reduces them per target. ``block_starts`` makes the reference a
     multi-target panel column space.
 
     ``workers`` is the kernel-thread count. ``None`` or 1 runs every round on
@@ -231,7 +94,7 @@ class NumpyBackend:
     On the ``int32`` data path (:func:`~repro.core.sdtw.int32_data_path`)
     rows and capped dwell are stored as ``int32``, the dtype the compiled
     kernel reads and writes, so rounds convert nothing. A round whose values
-    leave the kernel's range comes back ``int64`` from the numpy oracle; the
+    leave the kernel's range comes back ``int64`` from the oracle; the
     storage then widens to ``int64`` once, for good. Pool threads store
     their groups under one lock, so a group that widens the storage never
     loses another group's rows.
@@ -260,6 +123,8 @@ class NumpyBackend:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = 1 if workers is None else int(workers)
         self.block_starts = normalize_block_starts(block_starts, self.reference_values.size)
+        # Advanced/pruned cell and kernel-path counts summed over every
+        # `advance`; the engine and the serving layer read them.
         self.stats = AdvanceStats()
         self._state = BatchSDTWState.initial(
             capacity, self.reference_values.size, self.config
@@ -280,6 +145,7 @@ class NumpyBackend:
 
     @property
     def capacity(self) -> int:
+        """Lanes currently allocated."""
         return self._state.n_lanes
 
     @property
@@ -288,9 +154,15 @@ class NumpyBackend:
 
     @property
     def n_blocks(self) -> int:
+        """Targets in the panel the reference concatenates (>= 1)."""
         return int(self.block_starts.size)
 
     def allocate(self, min_capacity: int) -> None:
+        """Grow storage to at least ``min_capacity`` lanes; never shrinks.
+
+        Existing lane state is preserved; new lanes come up at the free
+        start. Callers re-read :attr:`capacity` afterwards.
+        """
         old = self._state
         if min_capacity <= old.n_lanes:
             return
@@ -306,6 +178,7 @@ class NumpyBackend:
         self._state = state
 
     def reset(self, lanes: np.ndarray) -> None:
+        """Return the given lanes to the free start (no samples consumed)."""
         self._state.rows[lanes] = 0
         self._state.runs[lanes] = 0
         self._state.samples_processed[lanes] = 0
@@ -316,6 +189,16 @@ class NumpyBackend:
         queries: Sequence[np.ndarray],
         prune_bounds: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance each listed lane with its new query samples (the hot path).
+
+        Returns ``(costs, end_positions)`` of shape ``(len(lanes),
+        n_blocks)``: the post-advance cost and block-local end position per
+        lane **per panel target**, bit-identical to independent
+        single-reference runs. The resident rows, runs and sample counts are
+        updated in place. ``prune_bounds`` (one kill threshold per listed
+        lane, ``inf`` = never prune) engages the kernel's pruning layer; it
+        is ``None`` when pruning is off.
+        """
         if self._closed:
             raise RuntimeError("backend is closed")
         tracer = self.tracer
@@ -430,6 +313,7 @@ class NumpyBackend:
         return costs, ends, stats, records
 
     def gather(self, lanes: np.ndarray) -> BatchSDTWState:
+        """Copy the given lanes' state into a fresh :class:`BatchSDTWState`."""
         return BatchSDTWState(
             rows=self._state.rows[lanes].copy(),
             runs=self._state.runs[lanes].copy(),
@@ -453,6 +337,7 @@ class NumpyBackend:
         self._state.samples_processed[lanes] = state.samples_processed
 
     def close(self) -> None:
+        """Shut the thread pool down. Idempotent; ``advance`` refuses after."""
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown()

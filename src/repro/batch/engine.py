@@ -1,4 +1,4 @@
-"""The batched sDTW execution engine: lane management over a pluggable backend.
+"""The batched sDTW execution engine: lane management over the numpy backend.
 
 :class:`BatchSDTWEngine` is the *lane manager* behind one reference squiggle:
 reads are *admitted* to a free lane when their first chunk arrives, every
@@ -7,8 +7,8 @@ decided reads are *retired* so their lane is recycled. Lane storage grows by
 doubling, so the engine serves any number of concurrent channels.
 
 Where the lane-stacked DP state physically lives — and how the wavefront
-executes — is delegated to an :class:`~repro.batch.backends.ExecutionBackend`:
-``"numpy"`` keeps one in-process :class:`BatchSDTWState` and runs
+executes — is delegated to a :class:`~repro.batch.backends.NumpyBackend`: it
+keeps one in-process :class:`BatchSDTWState` and runs
 :func:`~repro.core.sdtw.sdtw_resume_batch` on the calling thread, or splits
 each round's lanes over ``workers`` kernel threads. Results are bit-identical
 per lane, so admission, retirement, decisions and the occupancy trace never
@@ -33,7 +33,7 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.backends import ExecutionBackend, create_backend
+from repro.batch.backends import NumpyBackend
 from repro.core.config import SDTWConfig
 from repro.core.panel import TargetPanel
 from repro.core.reference import ReferenceSquiggle
@@ -101,14 +101,13 @@ class BatchSDTWEngine:
     initial_capacity:
         Lanes preallocated up front; storage doubles on demand.
     backend:
-        Execution backend: a registered name (``"numpy"``; see
-        :func:`repro.batch.backends.available_backends`) or a prebuilt
-        :class:`~repro.batch.backends.ExecutionBackend` instance. The engine
-        owns backends it creates (``close`` shuts them down) but only borrows
-        prebuilt ones.
+        Execution backend: the name ``"numpy"`` or a prebuilt
+        :class:`~repro.batch.backends.NumpyBackend`. The engine owns a
+        backend it builds from the name (``close`` shuts it down) but only
+        borrows a prebuilt one.
     backend_options:
-        Extra keyword arguments for the backend factory (e.g.
-        ``{"workers": 4}`` kernel threads).
+        Extra keyword arguments for the :class:`NumpyBackend` the engine
+        builds (e.g. ``{"workers": 4}`` kernel threads).
     tracer:
         Observability hook (:class:`repro.obs.Tracer`). Defaults to the
         shared disabled tracer, making every span a single ``if``; an
@@ -159,7 +158,7 @@ class BatchSDTWEngine:
         reference: np.ndarray,
         config: Optional[SDTWConfig] = None,
         initial_capacity: int = 8,
-        backend: Union[str, ExecutionBackend] = "numpy",
+        backend: Union[str, NumpyBackend] = "numpy",
         backend_options: Optional[Mapping[str, Any]] = None,
         tracer: Tracer = NULL_TRACER,
         prune: bool = False,
@@ -236,15 +235,15 @@ class BatchSDTWEngine:
             self._lb_low = float(self._lb_lows.min())
             self._lb_high = float(self._lb_highs.max())
         if isinstance(backend, str):
+            if backend.lower() != "numpy":
+                raise ValueError(
+                    f"unknown execution backend {backend!r}; available backends: numpy"
+                )
             options = dict(backend_options or {})
             if self._block_starts is not None:
                 options.setdefault("block_starts", self._block_starts)
-            self._backend = create_backend(
-                backend,
-                self.reference_values,
-                self.config,
-                initial_capacity,
-                **options,
+            self._backend = NumpyBackend(
+                self.reference_values, self.config, initial_capacity, **options
             )
             self._owns_backend = True
         else:
@@ -290,7 +289,7 @@ class BatchSDTWEngine:
 
     # -------------------------------------------------------------- lane admin
     @property
-    def backend(self) -> ExecutionBackend:
+    def backend(self) -> NumpyBackend:
         return self._backend
 
     @property

@@ -16,9 +16,9 @@ Eight subcommands cover the library's main workflows without writing Python:
   a :class:`repro.runtime.RunConfig` — load one with ``--config run.json``
   (``.yaml`` works when PyYAML is installed) and/or override its fields with
   explicit flags (flags win): ``--batch`` switches onto the batched
-  wavefront engine, ``--backend`` (choices generated from
-  :func:`repro.batch.available_backends`) picks the execution backend and
-  ``--workers N`` its kernel-thread count, ``--prune`` (with ``--prune-margin``)
+  wavefront engine, ``--backend`` (``numpy`` or ``auto``) picks the
+  execution backend and ``--workers N`` its kernel-thread count,
+  ``--prune`` (with ``--prune-margin``)
   turns on the early-abandoning sDTW pruning layer (decisions stay
   bit-identical), ``--lb-cascade`` adds the lower-bound lane gate on top of
   it, and ``--target-panel N`` screens N synthesized viral targets at once
@@ -64,7 +64,6 @@ from repro.core.thresholds import choose_threshold
 from repro.genomes.sequences import random_genome
 from repro.io.fast5 import Fast5Read, Fast5Store
 from repro.io.fasta import FastaRecord, read_fasta, write_fasta
-from repro.batch import available_backends
 from repro.pipeline.api import available_classifiers, build_pipeline, create_classifier
 from repro.pipeline.runtime_model import ReadUntilModelConfig, sequencing_runtime_s
 from repro.pore_model.kmer_model import KmerModel
@@ -111,14 +110,13 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", *available_backends()),
+        choices=("auto", "numpy"),
         default=None,
-        help="execution backend for the batched wavefront engine (choices "
-        "come straight from the backend registry, plus 'auto', which runs "
-        "'numpy' with one kernel thread per usable core and turns pruning "
-        "and the lane gate on; `config-dump --resolve` prints the pick). "
-        "Implies the batch classifier; decisions are identical whichever "
-        "backend runs",
+        help="execution backend for the batched wavefront engine: 'numpy', "
+        "or 'auto', which runs 'numpy' with one kernel thread per usable "
+        "core and turns pruning and the lane gate on (`config-dump "
+        "--resolve` prints the pick). Implies the batch classifier; "
+        "decisions are identical either way",
     )
     parser.add_argument(
         "--workers",

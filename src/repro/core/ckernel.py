@@ -19,8 +19,8 @@ that is removed as soon as the library is loaded.
 
 Without a working compiler the loader emits one :class:`RuntimeWarning`
 naming the error and :func:`load` returns ``None``: every call the kernel
-would have run goes to the numpy oracle wavefront, which computes the same
-rows.
+would have run goes to the oracle, :func:`repro.core.sdtw.sdtw_resume` run
+per lane and per panel block, which computes the same rows.
 """
 
 from __future__ import annotations

@@ -27,24 +27,23 @@ kernel so the systolic array is bit-compatible with the software filter.
 The resumable recurrence also comes in a **batched** form:
 :func:`sdtw_resume_batch` stacks many lanes into a ``(lanes, reference)``
 state (:class:`BatchSDTWState`) and advances all of them in one call — the
-kernel the execution backend of :class:`repro.batch.BatchSDTWEngine` runs
-(once per round, or once per lane group on each kernel thread; see
-:mod:`repro.batch.backends`). Per-lane results are bit-identical to
-per-read :func:`sdtw_resume` calls, which is what makes the lane split
-invisible to decisions. The batched wavefront has two paths:
+kernel :class:`repro.batch.NumpyBackend` runs for
+:class:`repro.batch.BatchSDTWEngine` (once per round, or once per lane group
+on each kernel thread). Per-lane results are bit-identical to per-read
+:func:`sdtw_resume` calls, which is what makes the lane split invisible to
+decisions. The batched call has one fast path and one fallback:
 
 * a compiled C loop (``_sdtw_kernel.c``, built on first use by
   :mod:`repro.core.ckernel`) for the all-integer hardware data path
   (:func:`int32_data_path`), taken by every call whose values stay in the
   range that keeps ``int32`` exact;
-* the numpy oracle, one set of ``(lanes, reference)`` matrix operations per
-  wavefront step, for every other configuration, for calls outside that
-  range, and for every call when no C compiler is available.
+* the oracle itself, :func:`sdtw_resume` run per lane and per panel block,
+  for every other configuration, for calls outside that range, and for
+  every call when no C compiler is available.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,9 +79,9 @@ class AdvanceStats:
     plus whole rounds of early-abandoned lanes. Their sum is the nominal
     brute-force work ``sum(chunk lengths) x reference columns``.
     ``c_calls`` and ``generic_calls`` count the wavefront calls that ran the
-    compiled kernel and the numpy oracle. Execution backends accumulate one
-    instance across rounds; each kernel thread fills its own and the backend
-    merges them.
+    compiled kernel and the oracle fallback. The numpy backend accumulates
+    one instance across rounds; each kernel thread fills its own and the
+    backend merges them.
     """
 
     __slots__ = ("cells_advanced", "cells_pruned", "c_calls", "generic_calls")
@@ -414,7 +413,9 @@ class BatchSDTWState:
     the one value the recurrence reads — and the compiled ``int32`` kernel
     stores just that. A lane with ``samples_processed == 0`` is at the free
     start (an all-zero row with zero dwell): :meth:`initial` writes it, and
-    :func:`sdtw_resume_batch` enforces it whatever such a lane's row holds.
+    :func:`sdtw_resume_batch` starts such a lane from it, whatever its row
+    holds, once the lane gets samples. A lane that gets no samples does not
+    change.
 
     Integer rows and runs are ``int64`` unless they are given as ``int32``,
     which the state keeps (the numpy backend's resident state on the
@@ -562,19 +563,20 @@ def sdtw_resume_batch(
     prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
 ) -> BatchSDTWState:
-    """Advance many resumable alignments with one vectorized wavefront.
+    """Advance many resumable alignments in one call.
 
     ``queries`` holds one (possibly ragged-length) array of new query samples
-    per lane; lanes contributing no samples this round pass an empty array and
-    their state flows through untouched. Each lane computes exactly the
-    no-reference-deletion recurrence of :func:`sdtw_resume`, so per-lane rows
-    and costs are **bit-identical** to calling ``sdtw_resume`` once per
-    lane — the batch kernel only restructures the per-read work.
+    per lane. Each lane computes exactly the no-reference-deletion
+    recurrence of :func:`sdtw_resume`, so per-lane rows and costs are
+    **bit-identical** to calling ``sdtw_resume`` once per lane — the batch
+    kernel only restructures the per-read work.
 
     A lane whose ``state.samples_processed`` is zero starts from the free
     start (an all-zero row with zero dwell), as a fresh ``sdtw_resume`` call
     does, and its first sample runs through the same step as every other.
-    Returns a new :class:`BatchSDTWState`; the input state is not mutated.
+    A lane that gets no samples (an empty array) does not change, fresh or
+    not. Returns a new :class:`BatchSDTWState`; the input state is not
+    mutated.
 
     The returned ``runs`` are defined up to the cap:
     ``min(runs, match_bonus_cap)`` equals ``sdtw_resume``'s
@@ -586,9 +588,9 @@ def sdtw_resume_batch(
     ``int32`` kernel whenever the call's values keep every intermediate cost
     within ``+-2**28``; all values are then exact small integers, so the
     outputs remain bit-identical to the scalar kernel. An ``int32`` state
-    comes back ``int32`` from that kernel; a call the range check sends to
-    the numpy oracle returns ``int64`` rows and runs, as does every call on
-    an ``int64`` state.
+    comes back ``int32`` from that kernel; every other call runs
+    :func:`sdtw_resume` per lane and per panel block, and returns ``int64``
+    rows and runs on a quantized config.
 
     ``block_starts`` declares a multi-target **panel** layout: the reference
     is N independent target references concatenated along the column axis,
@@ -627,57 +629,25 @@ def sdtw_resume_batch(
     if any(lane.ndim != 1 for lane in lanes):
         raise ValueError("every lane query must be a 1-D array")
     n_lanes = len(lanes)
+    reference_length = int(reference_values.shape[0])
 
     if state is None:
-        state = BatchSDTWState.initial(n_lanes, int(reference_values.shape[0]), cfg)
+        state = BatchSDTWState.initial(n_lanes, reference_length, cfg)
     if state.n_lanes != n_lanes:
         raise ValueError(f"state has {state.n_lanes} lanes but {n_lanes} queries were given")
-    if state.reference_length != int(reference_values.shape[0]):
+    if state.reference_length != reference_length:
         raise ValueError(
             f"state reference length {state.reference_length} does not match "
-            f"reference length {int(reference_values.shape[0])}"
+            f"reference length {reference_length}"
         )
 
-    rows, runs, processed = _resume_batch_arrays(
-        lanes,
-        reference_values,
-        cfg,
-        state.rows,
-        state.runs,
-        state.samples_processed,
-        block_starts=block_starts,
-        prune_bounds=prune_bounds,
-        stats=stats,
-    )
-    return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
-
-
-def _resume_batch_arrays(
-    lanes: Sequence[np.ndarray],
-    reference_values: np.ndarray,
-    config: SDTWConfig,
-    rows: np.ndarray,
-    runs: np.ndarray,
-    samples_processed: np.ndarray,
-    block_starts: Optional[np.ndarray] = None,
-    prune_bounds: Optional[np.ndarray] = None,
-    stats: Optional[AdvanceStats] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batched wavefront on raw, already-validated arrays.
-
-    ``lanes``, ``reference_values``, ``rows``, ``runs`` and
-    ``samples_processed`` are on the kernel scale (shaped as in
-    :class:`BatchSDTWState`); the inputs are never mutated and three new
-    arrays ``(rows, runs, samples_processed)`` come back.
-    """
-    n_lanes = len(lanes)
-    reference_length = int(reference_values.shape[0])
     starts = normalize_block_starts(block_starts, reference_length)
     lengths = [int(lane.shape[0]) for lane in lanes]
-    processed = samples_processed + np.asarray(lengths, dtype=np.int64)
-    if n_lanes == 0 or max(lengths, default=0) == 0:
-        return rows.copy(), runs.copy(), processed
+    processed = state.samples_processed + np.asarray(lengths, dtype=np.int64)
+    if max(lengths, default=0) == 0:
+        return BatchSDTWState(state.rows.copy(), state.runs.copy(), processed)
 
+    arrays = (lanes, reference_values, cfg, state.rows, state.runs, state.samples_processed)
     if prune_bounds is not None:
         bounds = np.asarray(prune_bounds, dtype=np.float64).ravel()
         if bounds.shape[0] != n_lanes:
@@ -686,16 +656,12 @@ def _resume_batch_arrays(
                 f"but {n_lanes} lanes were given"
             )
         if not np.all(np.isinf(bounds)):
-            return _resume_batch_pruned(
-                lanes, reference_values, config, rows, runs, samples_processed,
-                starts, processed, bounds, stats,
-            )
+            rows, runs = _resume_batch_pruned(*arrays, starts, bounds, stats)
+            return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
     if stats is not None:
         stats.add(sum(lengths) * reference_length, 0)
-    out_rows, out_runs = _wavefront(
-        lanes, reference_values, config, rows, runs, samples_processed, starts, stats
-    )
-    return out_rows, out_runs, processed
+    rows, runs = _wavefront(*arrays, starts, stats)
+    return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
 
 
 def _wavefront(
@@ -710,21 +676,19 @@ def _wavefront(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Advance every lane over its whole chunk; returns new ``(rows, runs)``.
 
-    Lanes with ``samples_processed == 0`` start from the free start. On the
+    A lane with ``samples_processed == 0`` starts from the free start, and a
+    lane with no samples keeps its stored row and (capped) dwell. On the
     ``int32`` data path, when this call's values stay in range, the compiled
     kernel (:func:`_advance_batch_int32`) runs; every other call runs the
-    numpy oracle (:func:`_advance_batch_generic`). Int32 rows come back as
-    int32 only when they went in as int32 and the compiled kernel ran;
+    oracle per lane (:func:`_advance_batch_generic`). Int32 rows come back
+    as int32 only when they went in as int32 and the compiled kernel ran;
     otherwise quantized rows come back as int64.
     """
-    lengths = [int(lane.shape[0]) for lane in lanes]
-    fresh = samples_processed == 0
-    bonus = float(cfg.match_bonus)
-    cap = cfg.match_bonus_cap
-    work_rows = rows.copy()
-    work_rows[fresh] = 0
-
     if int32_data_path(cfg):
+        lengths = [int(lane.shape[0]) for lane in lanes]
+        restart = (samples_processed == 0) & (np.asarray(lengths) > 0)
+        work_rows = rows.copy()
+        work_rows[restart] = 0
         # The int32 kernel needs every intermediate cost to stay far from the
         # diagonal penalty; bound it by what this call can add to what the
         # state holds.
@@ -734,13 +698,15 @@ def _wavefront(
             int(reference_values.max()), -int(reference_values.min()),
         )
         rows_bound = max(int(work_rows.max()), -int(work_rows.min()))
-        growth = (2 * value_bound + int(bonus) + 1) * max(lengths)
+        bonus = int(cfg.match_bonus)
+        growth = (2 * value_bound + bonus + 1) * max(lengths)
         if rows_bound + growth < 2**28 and ckernel.load() is not None:
             if stats is not None:
                 stats.c_calls += 1
+            cap = cfg.match_bonus_cap
             rows32 = work_rows.astype(np.int32, copy=False)
             dwell = np.ascontiguousarray(np.minimum(runs, cap), dtype=np.int32)
-            dwell[fresh] = 0
+            dwell[restart] = 0
             offsets = np.zeros(len(lanes) + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
             penalty = np.zeros(reference_values.shape[0], dtype=np.int32)
@@ -752,7 +718,7 @@ def _wavefront(
                 offsets,
                 reference_values.astype(np.int32),
                 penalty,
-                int(bonus),
+                bonus,
                 cap,
             )
             if rows.dtype == np.int32:
@@ -761,42 +727,9 @@ def _wavefront(
 
     if stats is not None:
         stats.generic_calls += 1
-    # Descending length, ties in input order (a stable sort), so every
-    # wavefront step's active lanes are a contiguous row prefix.
-    n_lanes = len(lanes)
-    order = sorted(range(n_lanes), key=lambda index: -lengths[index])
-    inverse = [0] * n_lanes
-    for position, lane_index in enumerate(order):
-        inverse[lane_index] = position
-    neg_sorted = [-lengths[i] for i in order]
-
-    input_dtype = np.int64 if cfg.quantize else np.float64
-    padded = np.zeros((n_lanes, lengths[order[0]]), dtype=input_dtype)
-    for position, lane_index in enumerate(order):
-        padded[position, : lengths[lane_index]] = lanes[lane_index]
-    order_index = np.asarray(order, dtype=np.intp)
-    inverse_index = np.asarray(inverse, dtype=np.intp)
-    sorted_runs = runs[order_index].astype(np.int64, copy=False)
-    sorted_runs[fresh[order_index]] = 0
-    # Non-zero panel block boundaries as an index array (None for the
-    # single-block case so the kernel skips the sentinel writes).
-    inner_index = (
-        np.asarray([int(start) for start in starts[1:]], dtype=np.intp)
-        if starts.size > 1
-        else None
+    return _advance_batch_generic(
+        lanes, reference_values, cfg, rows, runs, samples_processed, starts
     )
-    out_rows, out_runs = _advance_batch_generic(
-        padded,
-        neg_sorted,
-        work_rows[order_index],
-        sorted_runs,
-        reference_values,
-        cfg,
-        inner_index,
-    )
-    if cfg.quantize and cfg.uses_bonus:
-        out_rows = np.rint(out_rows).astype(np.int64)
-    return out_rows[inverse_index], out_runs[inverse_index]
 
 
 def _resume_batch_pruned(
@@ -807,10 +740,9 @@ def _resume_batch_pruned(
     runs: np.ndarray,
     samples_processed: np.ndarray,
     starts: np.ndarray,
-    processed: np.ndarray,
     bounds: np.ndarray,
     stats: Optional[AdvanceStats],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Prune-bounded advance: exact below the bound, frozen above it.
 
     Per lane, a column whose stored cost exceeds the lane's kill bound is
@@ -855,7 +787,7 @@ def _resume_batch_pruned(
     if not surviving:
         if stats is not None:
             stats.add(0, nominal)
-        return out_rows, out_runs, processed
+        return out_rows, out_runs
 
     max_steps = max(lengths[index] for index in surviving)
     block_bounds = [int(start) for start in starts] + [reference_length]
@@ -897,7 +829,7 @@ def _resume_batch_pruned(
     if stats is not None:
         advanced = sum(lengths[index] for index in surviving) * advanced_width
         stats.add(advanced, nominal - advanced)
-    return out_rows, out_runs, processed
+    return out_rows, out_runs
 
 
 def _advance_batch_int32(
@@ -937,54 +869,38 @@ def _advance_batch_int32(
 
 
 def _advance_batch_generic(
-    padded: np.ndarray,
-    neg_sorted: List[int],
-    rows_in: np.ndarray,
-    runs_in: np.ndarray,
+    lanes: Sequence[np.ndarray],
     reference_values: np.ndarray,
     cfg: SDTWConfig,
-    inner_index: Optional[np.ndarray],
+    rows: np.ndarray,
+    runs: np.ndarray,
+    samples_processed: np.ndarray,
+    starts: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference wavefront over lane-sorted state, any resumable config.
+    """The batched fallback: the oracle :func:`sdtw_resume`, per lane and block.
 
-    Mirrors :func:`sdtw_resume` operation for operation (same accumulator
-    dtype, same ``where`` selections), stacked over the active lane prefix.
-    ``inner_index`` (non-zero panel block boundaries) gets the same boundary
-    treatment as column 0.
+    Each lane that got samples resumes from its stored row and dwell (or
+    the free start, if it has processed none) on each panel block's slice of
+    the reference, whose first column, like column 0, takes no diagonal.
+    Lanes without samples keep their stored state. Returns new rows in the
+    state dtype (``int64`` when quantized) and ``int64`` runs.
     """
-    n_lanes, reference_length = rows_in.shape
-    bonus = float(cfg.match_bonus)
-    cap = cfg.match_bonus_cap
-    accumulator = _accumulator_dtype(cfg)
-    big = _big_for(accumulator)
-
-    rows = rows_in.astype(accumulator)
-    runs = runs_in.copy()
-
-    cost_shift = np.empty((n_lanes, reference_length), dtype=accumulator)
-    run_shift = np.empty((n_lanes, reference_length), dtype=np.int64)
-    for step in range(padded.shape[1]):
-        k = bisect_left(neg_sorted, -step)
-        previous = rows[:k]
-        local = _local_distance(
-            padded[:k, step][:, None], reference_values[None, :], cfg
-        ).astype(accumulator)
-        cost_shift[:k, 0] = big
-        cost_shift[:k, 1:] = previous[:, :-1]
-        if inner_index is not None:
-            cost_shift[:k, inner_index] = big
-        if bonus:
-            run_shift[:k, 0] = 0
-            run_shift[:k, 1:] = runs[:k, :-1]
-            if inner_index is not None:
-                run_shift[:k, inner_index] = 0
-            diagonal = cost_shift[:k] - bonus * np.minimum(run_shift[:k], cap)
-        else:
-            diagonal = cost_shift[:k]
-        take_diagonal = diagonal < previous
-        rows[:k] = local + np.where(take_diagonal, diagonal, previous)
-        runs[:k] = np.where(take_diagonal, 1, runs[:k] + 1)
-    return rows, runs
+    out_rows = rows.astype(_state_dtype(cfg))
+    out_runs = runs.astype(np.int64)
+    edges = [*starts.tolist(), reference_values.shape[0]]
+    for lane, query in enumerate(lanes):
+        if not query.shape[0]:
+            continue
+        for lo, hi in zip(edges, edges[1:]):
+            resumed = sdtw_resume(
+                query,
+                reference_values[lo:hi],
+                cfg,
+                SDTWState(rows[lane, lo:hi], runs[lane, lo:hi], int(samples_processed[lane])),
+            )
+            out_rows[lane, lo:hi] = resumed.row
+            out_runs[lane, lo:hi] = resumed.run
+    return out_rows, out_runs
 
 
 def sdtw_cost(

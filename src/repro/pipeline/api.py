@@ -21,8 +21,10 @@ This module makes that contract explicit:
   UNCALLED exposes its pluggable DTW methods behind a ``METHODS`` mapping;
 * :func:`build_pipeline` — a factory that constructs a fully wired
   :class:`~repro.pipeline.read_until.ReadUntilPipeline` (classifier,
-  :class:`~repro.sequencer.run.MinIONParameters`, assembler) from a plain
-  config mapping.
+  :class:`~repro.sequencer.run.MinIONParameters`, assembler) from a
+  :class:`~repro.runtime.RunConfig` or a plain config mapping; batch-capable
+  classifiers run on the one execution backend, ``numpy`` (``backend`` is
+  ``"numpy"`` or ``"auto"``, ``workers`` its thread count).
 
 The payoff of streaming semantics is the multi-stage adapter: early stages
 fire as soon as their prefix has arrived on the wire, so a clear non-target
@@ -511,8 +513,8 @@ def build_batch_squigglefilter(
     undecided channel of a polling round advances in one matrix op.
     ``reference``/``genome`` accept a multi-target panel, classified by
     per-target argmin in the same wavefront. ``run_config`` (a
-    :class:`repro.runtime.RunConfig`) picks the execution backend the
-    engine advances lanes on (:func:`repro.batch.available_backends`)."""
+    :class:`repro.runtime.RunConfig`) sets how the engine advances lanes
+    (``backend`` and ``workers``)."""
     # Deferred: repro.batch.classifier imports this module for Action/registry.
     from repro.batch.classifier import BatchSquiggleClassifier
 
@@ -571,9 +573,9 @@ def build_pipeline(spec: Any) -> "Any":
         screens every panel member at once and the streaming summary
         reports per-target accept counts.
     ``backend`` / ``workers``
-        Execution backend for a batch-capable classifier's engine (any name
-        in :func:`repro.batch.available_backends`, or ``"auto"``;
-        ``workers: N`` splits each round's lanes over N kernel threads).
+        Execution backend for a batch-capable classifier's engine
+        (``"numpy"`` or ``"auto"``; ``workers: N`` splits each round's lanes
+        over N kernel threads).
         These keys are folded into a :class:`repro.runtime.RunConfig` handed
         to the classifier factory as ``run_config``, so the chosen classifier
         must accept it (``"batch_squigglefilter"`` does).

@@ -18,9 +18,10 @@ The only non-serializable escape hatch is ``reference``: a prebuilt
 :class:`~repro.core.panel.TargetPanel` attached in code (``to_dict`` refuses
 it so a dumped config never silently loses its reference).
 
-``backend="auto"`` is resolved by :func:`resolve_auto`, a fixed rule over
-the usable core count; sessions, the serving layer and
-``repro config-dump --resolve`` all call it when a session is opened.
+``backend`` is ``"numpy"``, the one execution backend, or ``"auto"``,
+which :func:`resolve_auto` resolves to it by a fixed rule over the usable
+core count; sessions, the serving layer and ``repro config-dump --resolve``
+all call it when a session is opened.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class RunConfig:
         trace-event / Perfetto JSON file when the session closes (and
         implies ``trace=True``). Tracing never changes decisions.
     backend / workers:
-        Execution backend for the batched engine (any name in
-        :func:`repro.batch.available_backends`, or ``"auto"`` for the fixed
-        rule of :func:`resolve_auto`). ``workers`` is the numpy backend's
+        Execution backend for the batched engine: ``"numpy"``
+        (:class:`repro.batch.NumpyBackend`), or ``"auto"`` for the fixed
+        rule of :func:`resolve_auto`. ``workers`` is the numpy backend's
         kernel-thread count: each round's lanes are split into that many
         contiguous groups advanced in parallel (default: one thread, the
         calling one). ``backend="auto"`` picks the thread count itself, so
@@ -121,8 +122,6 @@ class RunConfig:
     lb_cascade: bool = False
 
     def __post_init__(self) -> None:
-        from repro.batch.backends import available_backends  # deferred: keeps core importable
-
         if self.targets is not None:
             object.__setattr__(self, "targets", dict(self.targets))
         if isinstance(self.hardware, Mapping):
@@ -143,12 +142,11 @@ class RunConfig:
             )
         if self.targets is not None and not self.targets:
             raise ValueError("targets: the panel mapping must name at least one target")
-        known = available_backends()
         backend = self.backend.lower()
-        if backend != "auto" and backend not in known:
+        if backend not in ("auto", "numpy"):
             raise ValueError(
                 f"backend: unknown execution backend {self.backend!r}; "
-                f"available backends: auto, {', '.join(known)}"
+                "available backends: auto, numpy"
             )
         object.__setattr__(self, "backend", backend)
         if self.workers is not None and self.workers <= 0:

@@ -53,8 +53,8 @@ __all__ = ["ReadUntilSession", "SessionClosedError", "open_session"]
 class SessionClosedError(RuntimeError):
     """Raised by every interaction with a closed :class:`ReadUntilSession`.
 
-    The after-close contract is uniform across all registered execution
-    backends: ``submit``, ``summary``, ``calibrate`` and ``classifier`` on a
+    The after-close contract is uniform whatever the backend and thread
+    count: ``submit``, ``summary``, ``calibrate`` and ``classifier`` on a
     closed session raise this (a :class:`RuntimeError` subclass, so existing
     ``except RuntimeError`` callers keep working). Open a fresh session with
     :func:`open_session` instead of resurrecting a closed one.

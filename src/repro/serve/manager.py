@@ -8,8 +8,9 @@ lifecycle keyed by session id:
   :meth:`RunConfig.from_dict` — service clients get exactly the same
   field-naming error messages as local users — optionally overlaying it on
   the server's default config template; a tenant's ``trace_path`` is
-  refused, so no tenant can make the server write a file, and
-  ``n_channels`` is capped at one MinION flow cell (512 channels);
+  refused, so no tenant can make the server write a file,
+  ``n_channels`` is capped at one MinION flow cell (512 channels), and the
+  reference at the paper's 100 kb reference buffer;
   ``backend="auto"`` resolves as the session opens
   (:func:`~repro.runtime.config.resolve_auto`), and the descriptor reports
   the chosen point under ``auto``;
@@ -40,6 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.batch.backends import default_workers
+from repro.genomes.catalog import MAX_SINGLE_STRANDED_LENGTH
 from repro.pipeline.api import Action
 from repro.runtime import ReadUntilSession, RunConfig, open_session
 from repro.obs.metrics import MetricsRegistry
@@ -222,7 +224,12 @@ class SessionManager:
         a lane of per-column state, so ``n_channels`` bounds its memory.
         Nor may it ask for more kernel threads than
         :func:`~repro.batch.backends.default_workers` (usable cores, capped
-        at 8): every session's backend starts its own thread pool.
+        at 8): every session's backend starts its own thread pool. Nor may
+        its ``genome`` (or the summed ``targets``) outgrow the paper's
+        reference buffer, ``MAX_SINGLE_STRANDED_LENGTH`` bases with both
+        strands counted when ``include_reverse_complement`` holds: every
+        lane keeps an int32 row and dwell per reference column, so a 10 Mb
+        genome at 512 channels would ask for about 80 GB.
         """
         merged: Dict[str, Any] = dict(self.default_config or {})
         if config is not None:
@@ -248,6 +255,20 @@ class SessionManager:
             raise ValueError(
                 f"n_channels: a served session may have at most {flow_cell} "
                 f"channels (one MinION flow cell), got {resolved.n_channels}"
+            )
+        genomes = (
+            [resolved.genome]
+            if resolved.genome is not None
+            else list((resolved.targets or {}).values())
+        )
+        strands = 2 if resolved.include_reverse_complement else 1
+        bases = strands * sum(len(genome) for genome in genomes)
+        if bases > MAX_SINGLE_STRANDED_LENGTH:
+            field = "genome" if resolved.genome is not None else "targets"
+            raise ValueError(
+                f"{field}: a served session's reference may hold at most "
+                f"{MAX_SINGLE_STRANDED_LENGTH} bases (the paper's reference "
+                f"buffer; a reverse complement counts too), got {bases}"
             )
         cores = default_workers()
         if resolved.workers is not None and resolved.workers > cores:

@@ -214,13 +214,8 @@ class TestTileEdges:
             backend.close()
         assert backend.stats.generic_calls == 0
         assert np.array_equal(threaded.samples_processed, compiled.samples_processed)
-        # A fresh lane that got no sample has no state yet: a thread group of
-        # such lanes returns their stored rows untouched, one call zeroes them.
-        started = compiled.samples_processed > 0
-        assert np.array_equal(threaded.rows[started], compiled.rows[started])
-        assert np.array_equal(
-            np.minimum(threaded.runs[started], cap), np.minimum(compiled.runs[started], cap)
-        )
+        assert np.array_equal(threaded.rows, compiled.rows)
+        assert np.array_equal(np.minimum(threaded.runs, cap), np.minimum(compiled.runs, cap))
 
 
 class TestCompiledKernel:
@@ -278,6 +273,43 @@ class TestCompiledKernel:
             np.empty(second.size, dtype=np.int32),
         )
         assert np.array_equal(rows[0], sdtw_resume(second, reference, config, state=scalar).row)
+
+    @pytest.mark.parametrize("way", ["compiled", "fallback", "backend", "backend-2-threads"])
+    def test_fresh_lane_without_samples_does_not_change(self, way, rng, monkeypatch):
+        """A lane that gets no samples keeps its stored rows, fresh or not,
+        on the C kernel and the oracle alike and however the lanes are split
+        over threads; a fresh lane that gets samples starts free."""
+        config = SDTWConfig.hardware()
+        cap = config.match_bonus_cap
+        reference = rng.integers(-127, 128, 30)
+        chunks = [rng.integers(-127, 128, 1), np.zeros(0, dtype=np.int64)]
+        lanes = np.arange(2)
+        state = BatchSDTWState(
+            rows=np.array([[3_000] * 30, [5_000] * 30], dtype=np.int32),
+            runs=np.full((2, 30), 4, dtype=np.int32),
+            samples_processed=np.zeros(2, dtype=np.int64),
+        )
+        if way == "fallback":
+            monkeypatch.setattr(ckernel, "load", lambda: None)
+        if way.startswith("backend"):
+            backend = NumpyBackend(
+                reference, config, capacity=2, workers=2 if way == "backend-2-threads" else None
+            )
+            try:
+                backend.scatter(lanes, state)
+                backend.advance(lanes, chunks)
+                advanced, stats = backend.gather(lanes), backend.stats
+            finally:
+                backend.close()
+        else:
+            stats = AdvanceStats()
+            advanced = sdtw_resume_batch(chunks, reference, config, state=state, stats=stats)
+        assert (stats.c_calls, stats.generic_calls) == ((0, 1) if way == "fallback" else (1, 0))
+        assert np.array_equal(advanced.samples_processed, [1, 0])
+        assert np.array_equal(advanced.rows[1], np.full(30, 5_000))
+        started = sdtw_resume(chunks[0], reference, config)
+        assert np.array_equal(advanced.rows[0], started.row)
+        assert np.array_equal(np.minimum(advanced.runs[0], cap), np.minimum(started.run, cap))
 
     def test_read_only_cache_loads_the_cached_library(self, monkeypatch, kernel_copy):
         assert ckernel.load() is not None  # builds into __pycache__ beside the copy

@@ -1,4 +1,4 @@
-"""Tests for the pluggable execution-backend layer (`repro.batch.backends`).
+"""Tests for the execution backend (`repro.batch.backends`).
 
 The contract under test: every cost, row, snapshot and Read Until decision
 is bit-identical whether the numpy backend advances a round's lanes on the
@@ -16,12 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batch.backends import (
-    NumpyBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from repro.batch.backends import NumpyBackend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
@@ -53,29 +48,17 @@ def make_engine(reference, config=None, backend="numpy", options=None, **kwargs)
     )
 
 
-# ------------------------------------------------------------------ registry
+# ------------------------------------------------------------ backend choice
 class TestBackendRegistry:
-    def test_all_backends_registered(self):
-        assert available_backends() == ("numpy",)
-
-    def test_create_by_name(self, rng):
-        reference = rng.integers(-127, 128, 30)
-        backend = create_backend("numpy", reference, SDTWConfig.hardware(), 4)
-        assert isinstance(backend, NumpyBackend)
-        assert backend.capacity == 4
-        assert backend.reference_length == 30
+    """The engine builds the one backend, ``numpy``, by name, or borrows a
+    prebuilt one."""
 
     def test_unknown_backend_rejected_listing_registry(self, rng):
-        """An unknown name is a ValueError naming every registered backend."""
-        for name in available_backends():
-            with pytest.raises(ValueError, match=name):
-                create_backend("tpu", rng.integers(-127, 128, 30), SDTWConfig.hardware(), 4)
+        """An unknown name is a ValueError naming the one backend there is."""
         with pytest.raises(ValueError, match="unknown execution backend"):
             make_engine(rng.integers(-127, 128, 30), backend="tpu")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy")(NumpyBackend)
+        with pytest.raises(ValueError, match="available backends: numpy$"):
+            make_engine(rng.integers(-127, 128, 30), backend="sharded")
 
     def test_engine_borrows_prebuilt_backend(self, rng):
         reference = rng.integers(-127, 128, 30)

@@ -256,6 +256,21 @@ class TestSessionManagerConfig:
 
         run(scenario())
 
+    def test_reference_up_to_the_buffer_resolves(self):
+        """50,000 bases on both strands fill the 100 kb buffer exactly."""
+
+        async def scenario():
+            manager = self._manager()
+            config = manager.resolve_config({"genome": "ACGT" * 12_500})
+            assert len(config.genome) == 50_000 and config.include_reverse_complement
+            config = manager.resolve_config(
+                {"genome": "ACGT" * 25_000, "include_reverse_complement": False}
+            )
+            assert len(config.genome) == 100_000
+            await manager.pool.close()
+
+        run(scenario())
+
     def test_auto_resolved_at_create_and_gauge_exported(self):
         async def scenario():
             metrics = MetricsRegistry()
@@ -565,6 +580,21 @@ class TestHttpEndToEnd:
         assert len(serve_client.list_sessions()) == open_before
         session_id = serve_client.create_session(service_config(n_channels=512))
         serve_client.close_session(session_id)
+
+    def test_reference_beyond_the_buffer_gets_400(self, serve_client):
+        """A tenant's reference may fill the paper's 100 kb buffer, no more:
+        every lane keeps per-column state, and both strands count."""
+        open_before = len(serve_client.list_sessions())
+        oversized = {
+            "genome": dict(genome="ACGT" * 12_500 + "A"),
+            "targets": dict(genome=None, targets={"a": "ACGT" * 6_000, "b": "ACGT" * 6_501}),
+        }
+        for field, overrides in oversized.items():
+            with pytest.raises(ServeClientError) as excinfo:
+                serve_client.create_session(service_config(**overrides))
+            assert excinfo.value.status == 400
+            assert excinfo.value.message.startswith(field)
+            assert len(serve_client.list_sessions()) == open_before
 
     def test_workers_beyond_usable_cores_gets_400(self, serve_client):
         """Every session's backend starts its own kernel threads, so a tenant

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batch.backends import create_backend
+from repro.batch.backends import NumpyBackend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
@@ -27,11 +27,7 @@ from repro.runtime import RunConfig
 
 # Every execution shape a panel can advance on: one thread, and the lanes
 # split over two and three kernel threads.
-PANEL_BACKENDS = [
-    ("numpy", None),
-    ("numpy", {"workers": 2}),
-    ("numpy", {"workers": 3}),
-]
+PANEL_WORKERS = [None, 2, 3]
 
 # Deliberately ragged target lengths (in reference columns, both strands).
 _PANEL_RNG = np.random.default_rng(20260728)
@@ -153,15 +149,10 @@ class TestPanelBitIdentity:
         lengths = [reference.size for reference in PROPERTY_REFERENCES.values()]
         block_starts = np.cumsum([0, *lengths[:-1]])
         backends = [
-            create_backend(
-                name,
-                panel_values,
-                config,
-                len(queries),
-                block_starts=block_starts,
-                **dict(options or {}),
+            NumpyBackend(
+                panel_values, config, len(queries), block_starts=block_starts, workers=workers
             )
-            for name, options in PANEL_BACKENDS
+            for workers in PANEL_WORKERS
         ]
         lanes = np.arange(len(queries), dtype=np.intp)
         try:
@@ -287,7 +278,7 @@ class TestPanelEngine:
             kmer_model=kmer_model,
         )
         # Same column count, but reduced as one block instead of two.
-        backend = create_backend("numpy", panel.values(quantized=True), config, 2)
+        backend = NumpyBackend(panel.values(quantized=True), config, 2)
         with pytest.raises(ValueError, match="panel blocks"):
             BatchSDTWEngine(panel, config, backend=backend)
         backend.close()
@@ -380,12 +371,12 @@ class TestPanelPipeline:
             chunk_samples=250,
         )
         decisions = {}
-        for backend, options in PANEL_BACKENDS:
+        for workers in PANEL_WORKERS:
             with BatchSquiggleClassifier(
                 panel,
                 threshold=threshold,
                 prefix_samples=500,
-                run_config=RunConfig(backend=backend, **(options or {})),
+                run_config=RunConfig(workers=workers),
             ) as classifier:
                 result = ReadUntilPipeline(
                     classifier,
@@ -395,8 +386,7 @@ class TestPanelPipeline:
                     n_channels=4,
                     batch=True,
                 ).run(reads)
-            key = f"{backend}:{options}"
-            decisions[key] = {
+            decisions[workers] = {
                 outcome.read.read_id: (
                     outcome.ejected,
                     outcome.decision.cost if outcome.decision else None,
@@ -405,10 +395,10 @@ class TestPanelPipeline:
                 )
                 for outcome in result.session.outcomes
             }
-        baseline = decisions["numpy:None"]
+        baseline = decisions[None]
         assert len(baseline) == len(reads)
-        for key, mapping in decisions.items():
-            assert mapping == baseline, key
+        for workers, mapping in decisions.items():
+            assert mapping == baseline, workers
 
 
 class TestCliTargetPanel:
