@@ -10,8 +10,8 @@ data-movement verbs plus lane bookkeeping:
 * ``advance(lanes, queries)`` — the per-round hot path: feed each listed lane
   its new (kernel-scale) query samples and return the post-advance cost and
   end position per lane;
-* ``gather(lanes)`` / ``scatter(lanes, state)`` — stack lane state out of /
-  into the backend (snapshots, tests, interop); cold paths;
+* ``gather(lanes)`` / ``scatter(lanes, state)`` — copy lane state out of /
+  into the backend (snapshots, tests, interop, widening); cold paths;
 * ``allocate`` / ``reset`` — capacity growth and lane recycling.
 
 The backend is **panel-aware**: the reference it holds may be a
@@ -26,7 +26,8 @@ runs (a plain single reference is one block, so the arrays are just
 advances it with :func:`~repro.core.sdtw.sdtw_resume_batch`, whose compiled
 C kernel runs every round of the hardware data path (the oracle,
 :func:`~repro.core.sdtw.sdtw_resume` per lane, runs the rest). On that path
-the state stays resident as ``int32``. With ``workers=N`` the backend splits
+the state stays resident as ``int32`` and the kernel advances and reduces
+the listed rows where they lie. With ``workers=N`` the backend splits
 each round's lanes into up to ``N`` contiguous groups and advances them on
 ``N`` threads (the C kernel runs without the GIL) — the software analogue of
 the paper assigning each read to an available tile. Every group runs the
@@ -42,7 +43,6 @@ advanced/pruned cell counts in :attr:`NumpyBackend.stats`.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import List, Optional, Sequence, Tuple
@@ -54,9 +54,9 @@ from repro.obs.trace import NULL_TRACER, Tracer, WorkerSpan, worker_span
 from repro.core.sdtw import (
     AdvanceStats,
     BatchSDTWState,
+    RowReductions,
     int32_data_path,
     normalize_block_starts,
-    reduce_block_minima,
     sdtw_resume_batch,
 )
 
@@ -77,27 +77,30 @@ class NumpyBackend:
 
     The backend owns one logical ``(capacity, reference_length)`` state and
     keeps per-lane results bit-identical to per-read
-    :func:`~repro.core.sdtw.sdtw_resume` calls. ``advance`` gathers the
-    listed lanes into a contiguous stacked state, runs one
-    :func:`sdtw_resume_batch` wavefront, scatters the advanced rows back and
-    reduces them per target. ``block_starts`` makes the reference a
+    :func:`~repro.core.sdtw.sdtw_resume` calls. ``advance`` runs one
+    in-place :func:`sdtw_resume_batch` call over the listed lanes
+    (``lanes=``) and returns their per-target reductions, which the state
+    keeps beside its rows (:class:`~repro.core.sdtw.RowReductions`: each
+    row's per-block minima and end positions, and a bound on its magnitude
+    for the kernel's range guard). ``block_starts`` makes the reference a
     multi-target panel column space.
 
     ``workers`` is the kernel-thread count. ``None`` or 1 runs every round on
     the calling thread. With ``N >= 2`` the backend owns one thread pool, and
     a round listing at least two lanes is split into ``min(N, len(lanes))``
-    contiguous groups: each group gathers, advances, scatters and reduces its
-    own disjoint lanes on a pool thread, and the calling thread merges the
-    groups' cell counts and concatenates their ``(costs, ends)`` in lane
-    order once every group has finished.
+    contiguous groups: each group advances its own disjoint lanes in place
+    on a pool thread, and the calling thread merges the groups' cell counts
+    once every group has finished.
 
     On the ``int32`` data path (:func:`~repro.core.sdtw.int32_data_path`)
     rows and capped dwell are stored as ``int32``, the dtype the compiled
-    kernel reads and writes, so rounds convert nothing. A round whose values
-    leave the kernel's range comes back ``int64`` from the oracle; the
-    storage then widens to ``int64`` once, for good. Pool threads store
-    their groups under one lock, so a group that widens the storage never
-    loses another group's rows.
+    kernel reads and writes, so a round copies and converts no lane state:
+    the kernel restarts fresh lanes, severs panel blocks and reduces each
+    row itself. A round whose values leave the kernel's range comes back
+    ``int64`` from the oracle; the storage then widens to ``int64`` once,
+    for good, and later rounds gather, advance and store their lanes. With
+    threads, widening waits until every group has finished, so no group
+    writes int32 rows into storage that has been replaced.
     """
 
     backend_name = "numpy"
@@ -135,12 +138,14 @@ class NumpyBackend:
                 runs=self._state.runs.astype(np.int32),
                 samples_processed=self._state.samples_processed,
             )
+        self._reductions = RowReductions(
+            capacity, self.n_blocks, np.int64 if self.config.quantize else np.float64
+        )
         self._pool = (
             ThreadPoolExecutor(self.workers, thread_name_prefix="numpy-backend")
             if self.workers > 1
             else None
         )
-        self._scatter_lock = threading.Lock()
         self._closed = False
 
     @property
@@ -156,6 +161,13 @@ class NumpyBackend:
     def n_blocks(self) -> int:
         """Targets in the panel the reference concatenates (>= 1)."""
         return int(self.block_starts.size)
+
+    @property
+    def dtype(self) -> str:
+        """The resident rows' dtype: ``"int32"`` on the hardware data path
+        until a round leaves the kernel's range, ``"int64"`` from then on
+        (and on quantized configs off that path), ``"float64"`` unquantized."""
+        return str(self._state.rows.dtype)
 
     def allocate(self, min_capacity: int) -> None:
         """Grow storage to at least ``min_capacity`` lanes; never shrinks.
@@ -176,12 +188,14 @@ class NumpyBackend:
         state.runs[: old.n_lanes] = old.runs
         state.samples_processed[: old.n_lanes] = old.samples_processed
         self._state = state
+        self._reductions = self._reductions.grown(min_capacity)
 
     def reset(self, lanes: np.ndarray) -> None:
         """Return the given lanes to the free start (no samples consumed)."""
         self._state.rows[lanes] = 0
         self._state.runs[lanes] = 0
         self._state.samples_processed[lanes] = 0
+        self._reductions.reset(lanes)
 
     def advance(
         self,
@@ -202,31 +216,29 @@ class NumpyBackend:
         if self._closed:
             raise RuntimeError("backend is closed")
         tracer = self.tracer
-        n_lanes = int(np.size(lanes))
+        lanes = np.asarray(lanes, dtype=np.intp)
+        n_lanes = int(lanes.size)
         with tracer.span("backend.advance", backend="numpy", n_lanes=n_lanes):
             n_groups = min(self.workers, n_lanes)
             if n_groups >= 2:
-                return self._advance_groups(lanes, queries, prune_bounds, n_groups)
-            with tracer.span("backend.gather"):
-                gathered = BatchSDTWState(
-                    rows=self._state.rows[lanes],
-                    runs=self._state.runs[lanes],
-                    samples_processed=self._state.samples_processed[lanes],
-                )
-            with tracer.span("backend.wavefront"):
-                advanced = sdtw_resume_batch(
-                    queries,
-                    self.reference_values,
-                    self.config,
-                    state=gathered,
-                    block_starts=self.block_starts,
-                    prune_bounds=prune_bounds,
-                    stats=self.stats,
-                )
-            with tracer.span("backend.scatter"):
-                self.scatter(lanes, advanced)
-            with tracer.span("backend.reduce"):
-                return reduce_block_minima(advanced.rows, self.block_starts)
+                self._advance_groups(lanes, queries, prune_bounds, n_groups)
+            else:
+                with tracer.span("backend.wavefront"):
+                    widened = sdtw_resume_batch(
+                        queries,
+                        self.reference_values,
+                        self.config,
+                        state=self._state,
+                        block_starts=self.block_starts,
+                        prune_bounds=prune_bounds,
+                        stats=self.stats,
+                        lanes=lanes,
+                        out=self._reductions,
+                    )
+                if widened is not None:
+                    with tracer.span("backend.scatter"):
+                        self.scatter(lanes, widened)
+            return self._reductions.costs[lanes], self._reductions.ends[lanes]
 
     def _advance_groups(
         self,
@@ -234,7 +246,7 @@ class NumpyBackend:
         queries: Sequence[np.ndarray],
         prune_bounds: Optional[np.ndarray],
         n_groups: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> None:
         """Advance ``n_groups`` contiguous lane groups on the pool threads."""
         tracer = self.tracer
         n_lanes = len(lanes)
@@ -257,14 +269,13 @@ class NumpyBackend:
         first_error = next((error for error in errors if error is not None), None)
         if first_error is not None:
             raise first_error
-        results = [future.result() for future in futures]
-        for thread, (_, _, stats, records) in enumerate(results):
+        for thread, (start, stop, future) in enumerate(zip(edges, edges[1:], futures)):
+            widened, stats, records = future.result()
             self.stats.merge(stats)
             tracer.merge_worker_records(records, track=f"numpy-thread-{thread}")
-        return (
-            np.concatenate([costs for costs, _, _, _ in results]),
-            np.concatenate([ends for _, ends, _, _ in results]),
-        )
+            if widened is not None:
+                # Only now that no group writes int32 rows may the storage widen.
+                self.scatter(lanes[start:stop], widened)
 
     def _advance_group(
         self,
@@ -272,45 +283,37 @@ class NumpyBackend:
         queries: Sequence[np.ndarray],
         prune_bounds: Optional[np.ndarray],
         trace: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, AdvanceStats, Optional[List[WorkerSpan]]]:
-        """Gather, advance, scatter and reduce one group's lanes (pool thread).
+    ) -> Tuple[Optional[BatchSDTWState], AdvanceStats, Optional[List[WorkerSpan]]]:
+        """Advance one group's lanes in place (pool thread).
 
         Groups hold disjoint lanes, so they write disjoint rows of the
-        resident state. A :class:`Tracer` keeps one span stack, so this never
-        opens a span: with ``trace`` on it stamps worker-span tuples for the
-        calling thread to merge.
+        resident state and its reductions. Lanes that must widen the storage
+        come back for the calling thread to store. A :class:`Tracer` keeps
+        one span stack, so this never opens a span: with ``trace`` on it
+        stamps worker-span tuples for the calling thread to merge.
         """
         clock = time.perf_counter
         start_s = clock() if trace else 0.0
         stats = AdvanceStats()
-        gathered = BatchSDTWState(
-            rows=self._state.rows[lanes],
-            runs=self._state.runs[lanes],
-            samples_processed=self._state.samples_processed[lanes],
-        )
-        wave_start_s = clock() if trace else 0.0
-        advanced = sdtw_resume_batch(
+        widened = sdtw_resume_batch(
             queries,
             self.reference_values,
             self.config,
-            state=gathered,
+            state=self._state,
             block_starts=self.block_starts,
             prune_bounds=prune_bounds,
             stats=stats,
+            lanes=lanes,
+            out=self._reductions,
         )
-        wave_end_s = clock() if trace else 0.0
-        with self._scatter_lock:
-            self.scatter(lanes, advanced)
-        costs, ends = reduce_block_minima(advanced.rows, self.block_starts)
         records = None
         if trace:
+            end_s = clock()
             records = [
-                worker_span("worker.wavefront", wave_start_s, wave_end_s, depth=1),
-                worker_span(
-                    "worker.advance", start_s, clock(), child_s=wave_end_s - wave_start_s
-                ),
+                worker_span("worker.wavefront", start_s, end_s, depth=1),
+                worker_span("worker.advance", start_s, end_s, child_s=end_s - start_s),
             ]
-        return costs, ends, stats, records
+        return widened, stats, records
 
     def gather(self, lanes: np.ndarray) -> BatchSDTWState:
         """Copy the given lanes' state into a fresh :class:`BatchSDTWState`."""
@@ -324,7 +327,9 @@ class NumpyBackend:
         """Store lane state, first widening ``int32`` storage to ``state``'s int64.
 
         Numpy's setitem casts silently, so int64 values are never assigned
-        into int32 storage.
+        into int32 storage. Dwell is stored capped (``min(run, cap)``, the
+        only value the recurrence reads), as the compiled kernel reads it,
+        and the lanes' reductions are recomputed from their new rows.
         """
         if state.rows.dtype.itemsize > self._state.rows.dtype.itemsize:
             self._state = BatchSDTWState(
@@ -333,8 +338,9 @@ class NumpyBackend:
                 samples_processed=self._state.samples_processed,
             )
         self._state.rows[lanes] = state.rows
-        self._state.runs[lanes] = state.runs
+        self._state.runs[lanes] = np.minimum(state.runs, self.config.match_bonus_cap)
         self._state.samples_processed[lanes] = state.samples_processed
+        self._reductions.store(lanes, state.rows, self.block_starts)
 
     def close(self) -> None:
         """Shut the thread pool down. Idempotent; ``advance`` refuses after."""

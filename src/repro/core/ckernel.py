@@ -44,10 +44,14 @@ SOURCE = Path(__file__).with_name("_sdtw_kernel.c")
 COMPILER = "cc"
 FLAGS = ("-O3", "-shared", "-fPIC")
 
-_ROWS = np.ctypeslib.ndpointer(np.int32, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+# Rows and dwell need not be contiguous across rows: the kernel takes their
+# row stride, and repro.core.sdtw._advance_batch_int32 checks the columns are.
+_STATE = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="WRITEABLE")
+_BOOL = np.ctypeslib.ndpointer(np.bool_, ndim=1, flags="C_CONTIGUOUS")
 _INT32 = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
 _INT64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 _HALO = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_OUT = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 
 
 class _Loader:
@@ -82,13 +86,18 @@ def load() -> Optional[Callable[..., None]]:
     """The compiled ``sdtw_advance_int32``, building it on first use.
 
     ``None`` when no compiler could build it (one ``RuntimeWarning`` said
-    why). Its arguments are ``(n_lanes, n_columns, rows, dwell, query,
-    offsets, reference, penalty, bonus, cap, halo)``: ``rows`` and ``dwell``
-    are the ``(n_lanes, n_columns)`` int32 lane state it advances in place,
-    lane ``k``'s samples are ``query[offsets[k]:offsets[k + 1]]``,
-    ``penalty`` is ``2**30`` at each panel block start and 0 elsewhere, and
-    ``halo`` is int32 working space with one entry per sample of the longest
-    chunk, which the kernel overwrites. See ``_sdtw_kernel.c``.
+    why). Its arguments are ``(n_lanes, lanes, restart, n_columns,
+    row_stride, rows, dwell, query, offsets, reference, n_blocks,
+    block_starts, bonus, cap, halo, costs, ends, magnitudes)``. Lane ``k``
+    advances row ``lanes[k]`` of the int32 ``rows`` and ``dwell`` in place
+    (``row_stride`` int32 apart) over ``query[offsets[k]:offsets[k + 1]]``,
+    from the free start when ``restart[k]`` is set; ``block_starts`` are
+    the panel blocks' first columns, and ``halo`` is int32 working space
+    with one entry per sample of the longest chunk, which the kernel
+    overwrites. It writes lane ``k``'s per-block minimum and block-local
+    first argmin into row ``k`` of the ``(n_lanes, n_blocks)`` int64
+    ``costs`` and ``ends``, and its ``max |row|`` into ``magnitudes[k]``.
+    See ``_sdtw_kernel.c``.
     """
     return _LOADER.get()
 
@@ -142,12 +151,14 @@ def _compile(command: List[str], directory: Path, name: str) -> Path:
 def _bind(library: ctypes.CDLL) -> Callable[..., None]:
     function = library.sdtw_advance_int32
     function.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,  # n_lanes, n_columns
-        _ROWS, _ROWS,  # rows, dwell
-        _INT32, _INT64,  # query, offsets
-        _INT32, _INT32,  # reference, penalty
+        ctypes.c_int64, _INT64, _BOOL,  # n_lanes, lanes, restart
+        ctypes.c_int64, ctypes.c_int64,  # n_columns, row_stride
+        _STATE, _STATE,  # rows, dwell
+        _INT32, _INT64, _INT32,  # query, offsets, reference
+        ctypes.c_int64, _INT64,  # n_blocks, block_starts
         ctypes.c_int32, ctypes.c_int32,  # bonus, cap
         _HALO,  # halo
+        _OUT, _OUT, _OUT,  # costs, ends, magnitudes
     ]
     function.restype = None
     return function

@@ -54,6 +54,7 @@ from repro.core.config import SDTWConfig
 __all__ = [
     "AdvanceStats",
     "BatchSDTWState",
+    "RowReductions",
     "SDTWResult",
     "SDTWState",
     "int32_data_path",
@@ -562,7 +563,10 @@ def sdtw_resume_batch(
     block_starts: Optional[np.ndarray] = None,
     prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
-) -> BatchSDTWState:
+    *,
+    lanes: Optional[np.ndarray] = None,
+    out: Optional[RowReductions] = None,
+) -> Optional[BatchSDTWState]:
     """Advance many resumable alignments in one call.
 
     ``queries`` holds one (possibly ragged-length) array of new query samples
@@ -595,9 +599,9 @@ def sdtw_resume_batch(
     ``block_starts`` declares a multi-target **panel** layout: the reference
     is N independent target references concatenated along the column axis,
     each beginning at one of the listed offsets. The recurrence's only
-    cross-column dependency is the diagonal shift, so injecting the boundary
-    sentinel at every block start makes each block's columns bit-identical to
-    an independent single-reference run over that target — one wavefront
+    cross-column dependency is the diagonal shift, so severing the diagonal
+    at every block start makes each block's columns bit-identical to an
+    independent single-reference run over that target — one wavefront
     advances the whole panel. Reduce per target afterwards with
     :func:`reduce_block_minima`.
 
@@ -615,6 +619,16 @@ def sdtw_resume_batch(
     accept/eject decisions and reported winners below the bound never change.
     ``stats`` accumulates the advanced/pruned cell counts of the call and
     which wavefront path it ran.
+
+    ``lanes`` makes the call an in-place advance of a resident state (the
+    numpy backend's hot path): query ``k`` advances row ``lanes[k]`` of
+    ``state`` (listed lanes are distinct), and ``out`` is the state's
+    :class:`RowReductions`, which the call reads instead of scanning rows
+    and keeps current. It returns ``None`` once the listed lanes' rows,
+    dwell, sample counts and reductions are stored. Only when their new rows
+    no longer fit the state's dtype (the oracle's ``int64`` against
+    ``int32`` storage) does it store nothing and return the advanced lanes'
+    state instead, for the caller to store after widening its storage.
     """
     cfg = config if config is not None else SDTWConfig()
     if cfg.allow_reference_deletions:
@@ -625,15 +639,23 @@ def sdtw_resume_batch(
     if reference_values.ndim != 1 or reference_values.shape[0] == 0:
         raise ValueError("reference must be a non-empty 1-D array")
 
-    lanes = [np.asarray(q, dtype=input_dtype) for q in queries]
-    if any(lane.ndim != 1 for lane in lanes):
+    chunks = [np.asarray(q, dtype=input_dtype) for q in queries]
+    if any(chunk.ndim != 1 for chunk in chunks):
         raise ValueError("every lane query must be a 1-D array")
-    n_lanes = len(lanes)
+    n_lanes = len(chunks)
     reference_length = int(reference_values.shape[0])
 
-    if state is None:
+    if lanes is not None:
+        if state is None or out is None:
+            raise ValueError("lanes= advances a resident state: pass its state= and out=")
+        lanes = np.ascontiguousarray(lanes, dtype=np.int64)
+        if lanes.shape != (n_lanes,):
+            raise ValueError(f"{lanes.size} lanes were listed but {n_lanes} queries were given")
+        if n_lanes and (int(lanes.min()) < 0 or int(lanes.max()) >= state.n_lanes):
+            raise IndexError(f"a listed lane is outside the state's {state.n_lanes} lanes")
+    elif state is None:
         state = BatchSDTWState.initial(n_lanes, reference_length, cfg)
-    if state.n_lanes != n_lanes:
+    elif state.n_lanes != n_lanes:
         raise ValueError(f"state has {state.n_lanes} lanes but {n_lanes} queries were given")
     if state.reference_length != reference_length:
         raise ValueError(
@@ -642,12 +664,8 @@ def sdtw_resume_batch(
         )
 
     starts = normalize_block_starts(block_starts, reference_length)
-    lengths = [int(lane.shape[0]) for lane in lanes]
-    processed = state.samples_processed + np.asarray(lengths, dtype=np.int64)
-    if max(lengths, default=0) == 0:
-        return BatchSDTWState(state.rows.copy(), state.runs.copy(), processed)
-
-    arrays = (lanes, reference_values, cfg, state.rows, state.runs, state.samples_processed)
+    lengths = np.fromiter((chunk.shape[0] for chunk in chunks), dtype=np.int64, count=n_lanes)
+    bounds = None
     if prune_bounds is not None:
         bounds = np.asarray(prune_bounds, dtype=np.float64).ravel()
         if bounds.shape[0] != n_lanes:
@@ -655,17 +673,201 @@ def sdtw_resume_batch(
                 f"prune_bounds has {bounds.shape[0]} entries "
                 f"but {n_lanes} lanes were given"
             )
-        if not np.all(np.isinf(bounds)):
-            rows, runs = _resume_batch_pruned(*arrays, starts, bounds, stats)
-            return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
-    if stats is not None:
-        stats.add(sum(lengths) * reference_length, 0)
-    rows, runs = _wavefront(*arrays, starts, stats)
+        if np.all(np.isinf(bounds)):
+            bounds = None
+
+    if lanes is not None:
+        return _advance_resident(
+            chunks, lengths, reference_values, cfg, state, lanes, starts, bounds, out, stats
+        )
+    processed = state.samples_processed + lengths
+    if not lengths.any():
+        return BatchSDTWState(state.rows.copy(), state.runs.copy(), processed)
+    arrays = (chunks, reference_values, cfg, state.rows, state.runs, state.samples_processed)
+    if bounds is not None:
+        rows, runs = _resume_batch_pruned(*arrays, starts, bounds, stats)
+    else:
+        if stats is not None:
+            stats.add(int(lengths.sum()) * reference_length, 0)
+        rows, runs = _wavefront(*arrays, starts, stats)
     return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
 
 
+def _magnitudes(rows: np.ndarray) -> np.ndarray:
+    """Each row's ``max |row|``, in int64 (float64 for float rows)."""
+    wide = np.float64 if rows.dtype.kind == "f" else np.int64
+    return np.maximum(rows.max(axis=1).astype(wide), -rows.min(axis=1).astype(wide))
+
+
+class RowReductions:
+    """Per-lane reductions a resident state keeps beside its rows.
+
+    ``costs`` and ``ends`` (``(capacity, n_blocks)``) hold each stored row's
+    per-block minimum and block-local first argmin, as
+    :func:`reduce_block_minima` computes them, and ``magnitudes``
+    (``(capacity,)``) an upper bound on each stored row's ``max |row|``. An
+    in-place :func:`sdtw_resume_batch` (``lanes=``) reads the row minima for
+    pruning liveness and the magnitudes for its ``int32`` range guard instead
+    of scanning rows, and rewrites all three for the lanes it advances. A
+    lane at the free start (a zero row) reduces to zeros.
+    """
+
+    __slots__ = ("costs", "ends", "magnitudes")
+
+    def __init__(self, capacity: int, n_blocks: int, dtype=np.int64) -> None:
+        self.costs = np.zeros((capacity, n_blocks), dtype=dtype)
+        self.ends = np.zeros((capacity, n_blocks), dtype=np.intp)
+        self.magnitudes = np.zeros(capacity, dtype=dtype)
+
+    def grown(self, capacity: int) -> "RowReductions":
+        """A copy with room for ``capacity`` lanes; the new lanes are free starts."""
+        grown = RowReductions(capacity, self.costs.shape[1], self.costs.dtype)
+        kept = self.magnitudes.shape[0]
+        grown.costs[:kept] = self.costs
+        grown.ends[:kept] = self.ends
+        grown.magnitudes[:kept] = self.magnitudes
+        return grown
+
+    def reset(self, lanes: np.ndarray) -> None:
+        """The given lanes went back to the free start."""
+        self.costs[lanes] = 0
+        self.ends[lanes] = 0
+        self.magnitudes[lanes] = 0
+
+    def store(self, lanes: np.ndarray, rows: np.ndarray, block_starts: np.ndarray) -> None:
+        """Reduce the given lanes' new ``rows`` (one row per listed lane)."""
+        self.costs[lanes], self.ends[lanes] = reduce_block_minima(rows, block_starts)
+        self.magnitudes[lanes] = _magnitudes(rows)
+
+
+def _advance_resident(
+    chunks: List[np.ndarray],
+    lengths: np.ndarray,
+    reference_values: np.ndarray,
+    cfg: SDTWConfig,
+    state: BatchSDTWState,
+    lanes: np.ndarray,
+    starts: np.ndarray,
+    bounds: Optional[np.ndarray],
+    out: RowReductions,
+    stats: Optional[AdvanceStats],
+) -> Optional[BatchSDTWState]:
+    """``sdtw_resume_batch(lanes=...)``: advance rows ``lanes`` of ``state``.
+
+    On ``int32`` storage the compiled kernel advances the listed rows where
+    they lie: it restarts fresh lanes itself and reduces every row it
+    finishes into ``out``, so a round copies no lane state. Its range guard
+    reads ``out.magnitudes``. A pruned round reads the exact row minima in
+    ``out.costs``: a lane whose minimum is above its bound is dead and stays
+    frozen, and when the survivors' spans would be whole blocks (a survivor
+    restarts, or :func:`_covers_every_block`) the round is the same single
+    call over the survivors, counted as the span driver counts it. Every
+    other call (int64 or float storage, values outside the guard, no
+    compiler, spans that leave columns out) gathers the listed lanes,
+    advances them through the functional path and stores them back.
+    """
+    n_columns = state.reference_length
+    nominal = int(lengths.sum()) * n_columns
+    if not nominal:
+        return None
+    restart = (state.samples_processed[lanes] == 0) & (lengths > 0)
+    picked = None  # the listed positions a pruned round advances
+    whole = True
+    if bounds is not None:
+        row_minima = out.costs[lanes].min(axis=1)
+        surviving = restart | ((lengths > 0) & (row_minima <= bounds))
+        if not surviving.any():
+            if stats is not None:
+                stats.add(0, nominal)
+            state.samples_processed[lanes] += lengths
+            return None
+        picked = np.flatnonzero(surviving)
+        whole = bool(restart.any()) or _covers_every_block(
+            state.rows, lanes[picked], bounds[picked], starts
+        )
+    if whole and state.rows.dtype == np.int32 and int32_data_path(cfg):
+        run_lanes, run_chunks, run_lengths, run_restart = lanes, chunks, lengths, restart
+        if picked is not None:
+            run_lanes, run_lengths, run_restart = lanes[picked], lengths[picked], restart[picked]
+            run_chunks = [chunks[index] for index in picked]
+        rows_bound = int(out.magnitudes[run_lanes[~run_restart]].max(initial=0))
+        query = _int32_query(run_chunks, run_lengths, reference_values, cfg, rows_bound)
+        if query is not None:
+            if stats is not None:
+                stats.c_calls += 1
+                advanced = int(run_lengths.sum()) * n_columns
+                stats.add(advanced, nominal - advanced)
+            out.costs[run_lanes], out.ends[run_lanes], out.magnitudes[run_lanes] = (
+                _advance_batch_int32(
+                    state.rows, state.runs, run_lanes, run_restart, query, run_lengths,
+                    reference_values.astype(np.int32), starts, int(cfg.match_bonus),
+                    cfg.match_bonus_cap,
+                )
+            )
+            state.samples_processed[lanes] += lengths
+            return None
+    gathered = BatchSDTWState(
+        state.rows[lanes], state.runs[lanes], state.samples_processed[lanes]
+    )
+    advanced_state = sdtw_resume_batch(
+        chunks, reference_values, cfg, state=gathered, block_starts=starts,
+        prune_bounds=bounds, stats=stats,
+    )
+    if advanced_state.rows.dtype.itemsize > state.rows.dtype.itemsize:
+        return advanced_state
+    state.rows[lanes] = advanced_state.rows
+    state.runs[lanes] = advanced_state.runs
+    state.samples_processed[lanes] = advanced_state.samples_processed
+    out.store(lanes, advanced_state.rows, starts)
+    return None
+
+
+def _covers_every_block(
+    rows: np.ndarray, lanes: np.ndarray, bounds: np.ndarray, starts: np.ndarray
+) -> bool:
+    """Whether the pruned spans of rows ``lanes`` would be whole blocks.
+
+    :func:`_resume_batch_pruned` advances each block from its first to past
+    its last column that is at or below some lane's bound, so when every
+    block's first and last column is, its spans are the whole row.
+    """
+    lasts = np.append(starts[1:], rows.shape[1]) - 1
+    index, limits = lanes[:, None], bounds[:, None]
+    return bool(
+        (rows[index, starts] <= limits).any(axis=0).all()
+        and (rows[index, lasts] <= limits).any(axis=0).all()
+    )
+
+
+def _int32_query(
+    chunks: Sequence[np.ndarray],
+    lengths: np.ndarray,
+    reference_values: np.ndarray,
+    cfg: SDTWConfig,
+    rows_bound: int,
+) -> Optional[np.ndarray]:
+    """The call's samples as one int32 query, if the compiled kernel can take it.
+
+    It can when it is built and every intermediate cost stays within
+    ``+-2**28``: stored rows within ``rows_bound`` (lanes that restart
+    excluded), plus at most one local distance and one bonus per sample.
+    ``None`` otherwise. Some lane must have samples.
+    """
+    if ckernel.load() is None:
+        return None
+    query = np.concatenate(chunks)
+    value_bound = max(
+        int(query.max()), -int(query.min()),
+        int(reference_values.max()), -int(reference_values.min()),
+    )
+    growth = (2 * value_bound + int(cfg.match_bonus) + 1) * int(lengths.max())
+    if rows_bound + growth >= 2**28:
+        return None
+    return query.astype(np.int32)
+
+
 def _wavefront(
-    lanes: Sequence[np.ndarray],
+    chunks: Sequence[np.ndarray],
     reference_values: np.ndarray,
     cfg: SDTWConfig,
     rows: np.ndarray,
@@ -679,47 +881,27 @@ def _wavefront(
     A lane with ``samples_processed == 0`` starts from the free start, and a
     lane with no samples keeps its stored row and (capped) dwell. On the
     ``int32`` data path, when this call's values stay in range, the compiled
-    kernel (:func:`_advance_batch_int32`) runs; every other call runs the
-    oracle per lane (:func:`_advance_batch_generic`). Int32 rows come back
-    as int32 only when they went in as int32 and the compiled kernel ran;
-    otherwise quantized rows come back as int64.
+    kernel (:func:`_advance_batch_int32`) advances int32 copies of every
+    lane; every other call runs the oracle per lane
+    (:func:`_advance_batch_generic`). Int32 rows come back as int32 only
+    when they went in as int32 and the compiled kernel ran; otherwise
+    quantized rows come back as int64.
     """
     if int32_data_path(cfg):
-        lengths = [int(lane.shape[0]) for lane in lanes]
-        restart = (samples_processed == 0) & (np.asarray(lengths) > 0)
-        work_rows = rows.copy()
-        work_rows[restart] = 0
-        # The int32 kernel needs every intermediate cost to stay far from the
-        # diagonal penalty; bound it by what this call can add to what the
-        # state holds.
-        query = np.concatenate(lanes)
-        value_bound = max(
-            int(query.max()), -int(query.min()),
-            int(reference_values.max()), -int(reference_values.min()),
-        )
-        rows_bound = max(int(work_rows.max()), -int(work_rows.min()))
-        bonus = int(cfg.match_bonus)
-        growth = (2 * value_bound + bonus + 1) * max(lengths)
-        if rows_bound + growth < 2**28 and ckernel.load() is not None:
+        lengths = np.fromiter((chunk.shape[0] for chunk in chunks), np.int64, len(chunks))
+        restart = (samples_processed == 0) & (lengths > 0)
+        rows_bound = int(_magnitudes(rows)[~restart].max(initial=0))
+        query = _int32_query(chunks, lengths, reference_values, cfg, rows_bound)
+        if query is not None:
             if stats is not None:
                 stats.c_calls += 1
             cap = cfg.match_bonus_cap
-            rows32 = work_rows.astype(np.int32, copy=False)
-            dwell = np.ascontiguousarray(np.minimum(runs, cap), dtype=np.int32)
-            dwell[restart] = 0
-            offsets = np.zeros(len(lanes) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            penalty = np.zeros(reference_values.shape[0], dtype=np.int32)
-            penalty[starts] = 2**30
+            # A restarted lane's stored row may wrap here; the kernel never reads it.
+            rows32 = rows.astype(np.int32)
+            dwell = np.minimum(runs, cap).astype(np.int32, copy=False)
             _advance_batch_int32(
-                rows32,
-                dwell,
-                query.astype(np.int32),
-                offsets,
-                reference_values.astype(np.int32),
-                penalty,
-                bonus,
-                cap,
+                rows32, dwell, np.arange(len(chunks), dtype=np.int64), restart, query,
+                lengths, reference_values.astype(np.int32), starts, int(cfg.match_bonus), cap,
             )
             if rows.dtype == np.int32:
                 return rows32, dwell
@@ -728,12 +910,12 @@ def _wavefront(
     if stats is not None:
         stats.generic_calls += 1
     return _advance_batch_generic(
-        lanes, reference_values, cfg, rows, runs, samples_processed, starts
+        chunks, reference_values, cfg, rows, runs, samples_processed, starts
     )
 
 
 def _resume_batch_pruned(
-    lanes: List[np.ndarray],
+    chunks: List[np.ndarray],
     reference_values: np.ndarray,
     cfg: SDTWConfig,
     rows: np.ndarray,
@@ -759,62 +941,55 @@ def _resume_batch_pruned(
     all round. The severed diagonal at each span's left edge only ever
     *raises* values that were already provably above the bound, so every
     output cost at or below the decision bound is bit-identical to the
-    brute-force advance.
+    brute-force advance. A fresh lane's stored row is replaced by the free
+    start, so a survivor that restarts makes every column live; so does a
+    round where every block's first and last column is live
+    (:func:`_covers_every_block`), which then runs as one span.
     """
-    n_lanes = len(lanes)
     reference_length = int(reference_values.shape[0])
-    lengths = [int(lane.shape[0]) for lane in lanes]
-    nominal = sum(lengths) * reference_length
-
-    surviving: List[int] = []
-    union = np.zeros(reference_length, dtype=bool)
-    for index in range(n_lanes):
-        if lengths[index] == 0:
-            continue
-        if int(samples_processed[index]) == 0:
-            # A fresh lane's stored row is replaced by the free start, so
-            # there is nothing to prune on: it joins the wavefront unpruned.
-            surviving.append(index)
-            union[:] = True
-            continue
-        alive = rows[index] <= bounds[index]
-        if alive.any():
-            surviving.append(index)
-            union |= alive
+    lengths = np.fromiter((chunk.shape[0] for chunk in chunks), np.int64, len(chunks))
+    nominal = int(lengths.sum()) * reference_length
+    restart = (samples_processed == 0) & (lengths > 0)
+    surviving = np.flatnonzero(restart | ((lengths > 0) & (rows.min(axis=1) <= bounds)))
 
     out_rows = rows.copy()
     out_runs = runs.copy()
-    if not surviving:
+    if not surviving.size:
         if stats is not None:
             stats.add(0, nominal)
         return out_rows, out_runs
 
-    max_steps = max(lengths[index] for index in surviving)
-    block_bounds = [int(start) for start in starts] + [reference_length]
     spans: List[Tuple[int, int]] = []
-    for block in range(len(block_bounds) - 1):
-        start, end = block_bounds[block], block_bounds[block + 1]
-        alive_columns = np.flatnonzero(union[start:end])
-        if alive_columns.size == 0:
-            continue
-        lo = start + int(alive_columns[0])
-        hi = min(start + int(alive_columns[-1]) + 1 + max_steps, end)
-        if spans and spans[-1][1] == lo:
-            spans[-1] = (spans[-1][0], hi)
-        else:
-            spans.append((lo, hi))
+    if restart.any() or _covers_every_block(rows, surviving, bounds[surviving], starts):
+        spans.append((0, reference_length))
+    else:
+        union = np.zeros(reference_length, dtype=bool)
+        for index in surviving:
+            union |= rows[index] <= bounds[index]
+        max_steps = int(lengths[surviving].max())
+        block_bounds = [int(start) for start in starts] + [reference_length]
+        for block in range(len(block_bounds) - 1):
+            start, end = block_bounds[block], block_bounds[block + 1]
+            alive_columns = np.flatnonzero(union[start:end])
+            if alive_columns.size == 0:
+                continue
+            lo = start + int(alive_columns[0])
+            hi = min(start + int(alive_columns[-1]) + 1 + max_steps, end)
+            if spans and spans[-1][1] == lo:
+                spans[-1] = (spans[-1][0], hi)
+            else:
+                spans.append((lo, hi))
 
-    surviving_index = np.asarray(surviving, dtype=np.intp)
-    sub_lanes = [lanes[index] for index in surviving]
-    sub_samples = samples_processed[surviving_index]
+    sub_chunks = [chunks[index] for index in surviving]
+    sub_samples = samples_processed[surviving]
     advanced_width = 0
     for lo, hi in spans:
         advanced_rows, advanced_runs = _wavefront(
-            sub_lanes,
+            sub_chunks,
             reference_values[lo:hi],
             cfg,
-            rows[surviving_index][:, lo:hi],
-            runs[surviving_index][:, lo:hi],
+            rows[surviving][:, lo:hi],
+            runs[surviving][:, lo:hi],
             sub_samples,
             tile_block_starts(starts, lo, hi),
             stats,
@@ -823,11 +998,11 @@ def _resume_batch_pruned(
             # The oracle returned int64: widen int32 state before storing into
             # it (numpy's setitem casts silently).
             out_rows, out_runs = out_rows.astype(np.int64), out_runs.astype(np.int64)
-        out_rows[:, lo:hi][surviving_index] = advanced_rows
-        out_runs[:, lo:hi][surviving_index] = advanced_runs
+        out_rows[:, lo:hi][surviving] = advanced_rows
+        out_runs[:, lo:hi][surviving] = advanced_runs
         advanced_width += hi - lo
     if stats is not None:
-        advanced = sum(lengths[index] for index in surviving) * advanced_width
+        advanced = int(lengths[surviving].sum()) * advanced_width
         stats.add(advanced, nominal - advanced)
     return out_rows, out_runs
 
@@ -835,37 +1010,63 @@ def _resume_batch_pruned(
 def _advance_batch_int32(
     rows: np.ndarray,
     dwell: np.ndarray,
+    lanes: np.ndarray,
+    restart: np.ndarray,
     query: np.ndarray,
-    offsets: np.ndarray,
+    lengths: np.ndarray,
     reference: np.ndarray,
-    penalty: np.ndarray,
+    block_starts: np.ndarray,
     bonus: int,
     cap: int,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compiled integer wavefront (the hardware data path), in place.
 
-    Lane ``k`` advances row ``k`` of ``rows`` and ``dwell`` (the capped
-    dwell ``min(run, cap)``) over ``query[offsets[k]:offsets[k + 1]]``, one
-    step per sample, with ``penalty`` (``2**30`` at each panel block start)
-    severing the diagonal between targets. The C loop in ``_sdtw_kernel.c``
-    runs the integer operations of :func:`sdtw_resume` in ``int32``, one
-    L1-sized column tile at a time, passing each step's edge to the next
-    tile through ``halo`` (one entry per sample of the longest chunk); the
-    caller guarantees the range that makes them exact.
+    Lane ``k`` advances row ``lanes[k]`` of ``rows`` and ``dwell`` (the
+    capped dwell ``min(run, cap)``) over its ``lengths[k]`` samples of
+    ``query``, one step per sample, from the free start when ``restart[k]``
+    is set; a lane with no samples keeps its row. The diagonal is severed at
+    every panel block start. The C loop in ``_sdtw_kernel.c`` runs the
+    integer operations of :func:`sdtw_resume` in ``int32``, one L1-sized
+    column tile at a time, passing each step's edge to the next tile through
+    a halo of one entry per sample of the longest chunk, and reduces each
+    tile as it finishes it; the caller guarantees the range that makes them
+    exact. ``rows`` and ``dwell`` may be any stack of int32 rows whose
+    columns are contiguous. Returns ``(costs, ends, magnitudes)``: per lane,
+    what :func:`reduce_block_minima` gives for its new row, and its
+    ``max |row|``.
     """
-    n_lanes, n_columns = rows.shape
+    n_lanes = lanes.shape[0]
+    n_columns = rows.shape[1]
     if (
         dwell.shape != rows.shape
-        or offsets.shape != (n_lanes + 1,)
-        or int(offsets[-1]) != query.shape[0]
+        or dwell.strides != rows.strides
+        or rows.strides[1] != rows.itemsize
+        or restart.shape != (n_lanes,)
+        or lengths.shape != (n_lanes,)
+        or int(lengths.sum()) != query.shape[0]
         or reference.shape != (n_columns,)
-        or penalty.shape != (n_columns,)
     ):
         raise ValueError("int32 wavefront arrays disagree in shape")
-    halo = np.empty(int(np.diff(offsets).max(initial=0)), dtype=np.int32)
+    if n_lanes and (int(lanes.min()) < 0 or int(lanes.max()) >= rows.shape[0]):
+        raise IndexError("int32 wavefront lane out of range")
+    if (
+        block_starts[0] != 0
+        or int(block_starts[-1]) >= n_columns
+        or (block_starts.size > 1 and not np.all(np.diff(block_starts) > 0))
+    ):
+        raise ValueError("block starts must rise strictly from column 0 inside the row")
+    offsets = np.zeros(n_lanes + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    halo = np.empty(int(lengths.max(initial=0)), dtype=np.int32)
+    costs = np.empty((n_lanes, block_starts.shape[0]), dtype=np.int64)
+    ends = np.empty_like(costs)
+    magnitudes = np.empty(n_lanes, dtype=np.int64)
     ckernel.load()(
-        n_lanes, n_columns, rows, dwell, query, offsets, reference, penalty, bonus, cap, halo
+        n_lanes, lanes, restart, n_columns, rows.strides[0] // rows.itemsize, rows, dwell,
+        query, offsets, reference, block_starts.shape[0], block_starts, bonus, cap, halo,
+        costs, ends, magnitudes,
     )
+    return costs, ends, magnitudes
 
 
 def _advance_batch_generic(

@@ -360,7 +360,9 @@ class ReadUntilSession:
         says which wavefront ran: ``compiled`` (whether the compiled C
         kernel is loaded in this process), ``c_calls`` and
         ``generic_calls`` (wavefront calls on the C kernel and on the numpy
-        oracle, over every kernel thread). With tracing
+        oracle, over every kernel thread) and ``dtype`` (the lane state's:
+        ``"int32"``, or ``"int64"`` once a round has left the kernel's range
+        and the storage has widened). With tracing
         enabled, ``phase_totals`` breaks the wall time down per span name
         (count / total / self seconds, from the tracer's accumulating view).
         A ``backend="auto"`` session adds the resolved point under ``auto``.
@@ -403,6 +405,7 @@ class ReadUntilSession:
                 "compiled": ckernel.loaded(),
                 "c_calls": stats.c_calls,
                 "generic_calls": stats.generic_calls,
+                "dtype": engine.backend.dtype,
             }
         if self._tracer.enabled:
             summary["phase_totals"] = {

@@ -17,7 +17,8 @@ sequencing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -113,6 +114,66 @@ class ReadUntilActionLog:
     decision_time_s: float
 
 
+class ActionLog:
+    """A simulator's finished reads, stored as columns.
+
+    A long run finishes one read per channel every few polls, so the log
+    keeps numbers in :class:`array.array` columns and read ids and action
+    names as references, not one record object (with its boxed ints and
+    float) per read. It reads like a list of :class:`ReadUntilActionLog`:
+    ``len``, indexing, iteration and ``==`` against a list build the records
+    on demand.
+    """
+
+    __slots__ = (
+        "_read_ids", "_actions", "_channels", "_targets",
+        "_samples_sequenced", "_decision_samples", "_decision_times",
+    )
+
+    def __init__(self) -> None:
+        self._read_ids: List[str] = []
+        self._actions: List[str] = []
+        self._channels = array("i")
+        self._targets = array("b")
+        self._samples_sequenced = array("q")
+        self._decision_samples = array("q")
+        self._decision_times = array("d")
+
+    def append(self, entry: ReadUntilActionLog) -> None:
+        self._read_ids.append(entry.read_id)
+        self._actions.append(entry.action)
+        self._channels.append(entry.channel)
+        self._targets.append(bool(entry.is_target))
+        self._samples_sequenced.append(entry.samples_sequenced)
+        self._decision_samples.append(entry.decision_sample)
+        self._decision_times.append(entry.decision_time_s)
+
+    def __len__(self) -> int:
+        return len(self._read_ids)
+
+    def __getitem__(self, index: int) -> ReadUntilActionLog:
+        return ReadUntilActionLog(
+            read_id=self._read_ids[index],
+            channel=self._channels[index],
+            is_target=bool(self._targets[index]),
+            action=self._actions[index],
+            samples_sequenced=self._samples_sequenced[index],
+            decision_sample=self._decision_samples[index],
+            decision_time_s=self._decision_times[index],
+        )
+
+    def __iter__(self) -> Iterator[ReadUntilActionLog]:
+        return (self[index] for index in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ActionLog, list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ActionLog({len(self)} reads)"
+
+
 class ReadUntilSimulator:
     """Chunk-based Read Until session over a set of channels.
 
@@ -153,7 +214,7 @@ class ReadUntilSimulator:
             ChannelState(channel=index) for index in range(n_channels)
         ]
         self._read_counter = 0
-        self.action_log: List[ReadUntilActionLog] = []
+        self.action_log = ActionLog()
         self.clock_s = 0.0
         self._exhausted = False
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.sdtw as sdtw_module
 from repro.batch.backends import NumpyBackend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
@@ -26,6 +27,7 @@ from repro.core.sdtw import (
     AdvanceStats,
     BatchSDTWState,
     SDTWState,
+    reduce_block_minima,
     sdtw_resume,
     sdtw_resume_batch,
 )
@@ -146,6 +148,130 @@ def _tile_edge_inputs(case):
     return config, reference, chunks, state
 
 
+def _raw_call(function, rows, dwell, query, reference, config):
+    """One lane (row 0, not restarted, one block) through the raw C ABI."""
+    query = np.asarray(query, dtype=np.int32)
+    costs = np.empty((1, 1), dtype=np.int64)
+    function(
+        1, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.bool_),
+        reference.size, rows.shape[1], rows, dwell,
+        query, np.array([0, query.size], dtype=np.int64), reference,
+        1, np.zeros(1, dtype=np.int64), int(config.match_bonus), config.match_bonus_cap,
+        np.empty(query.size, dtype=np.int32), costs, np.empty_like(costs),
+        np.empty(1, dtype=np.int64),
+    )
+
+
+def _check_kernel_call(chunks, reference, rows, dwell, lanes, restart, starts, config=None):
+    """Run the compiled kernel over rows ``lanes`` of ``rows``/``dwell`` in
+    place and check every listed lane against sdtw_resume run per panel
+    block, its reductions against reduce_block_minima, and every unlisted
+    row and dwell for bytes unchanged."""
+    config = config if config is not None else SDTWConfig.hardware()
+    cap = config.match_bonus_cap
+    lanes = np.asarray(lanes, dtype=np.int64)
+    restart = np.asarray(restart, dtype=np.bool_)
+    starts = np.asarray(starts, dtype=np.int64)
+    edges = [*starts.tolist(), reference.size]
+    expected_rows, expected_dwell = [], []
+    for chunk, lane, fresh in zip(chunks, lanes, restart):
+        if not chunk.size:
+            expected_rows.append(rows[lane].astype(np.int64))
+            expected_dwell.append(dwell[lane].astype(np.int64))
+            continue
+        row_parts, dwell_parts = [], []
+        for lo, hi in zip(edges, edges[1:]):
+            before = None if fresh else SDTWState(rows[lane, lo:hi], dwell[lane, lo:hi], 1)
+            scalar = sdtw_resume(chunk, reference[lo:hi], config, state=before)
+            row_parts.append(scalar.row)
+            dwell_parts.append(np.minimum(scalar.run, cap))
+        expected_rows.append(np.concatenate(row_parts))
+        expected_dwell.append(np.concatenate(dwell_parts))
+    expected_rows = np.array(expected_rows)
+    unlisted = np.setdiff1d(np.arange(rows.shape[0]), lanes)
+    untouched = rows[unlisted].tobytes(), dwell[unlisted].tobytes()
+
+    lengths = np.array([chunk.size for chunk in chunks], dtype=np.int64)
+    costs, ends, magnitudes = sdtw_module._advance_batch_int32(
+        rows, dwell, lanes, restart, np.concatenate(chunks).astype(np.int32), lengths,
+        reference.astype(np.int32), starts, int(config.match_bonus), cap,
+    )
+    assert np.array_equal(rows[lanes], expected_rows)
+    assert np.array_equal(dwell[lanes], np.array(expected_dwell))
+    expected_costs, expected_ends = reduce_block_minima(expected_rows, starts)
+    assert np.array_equal(costs, expected_costs)
+    assert np.array_equal(ends, expected_ends)
+    assert np.array_equal(magnitudes, np.abs(expected_rows).max(axis=1))
+    assert (rows[unlisted].tobytes(), dwell[unlisted].tobytes()) == untouched
+
+
+def _resident(rng, n_lanes, n_columns, config=None):
+    """Stored int32 rows and capped dwell of resumed lanes."""
+    cap = (config if config is not None else SDTWConfig.hardware()).match_bonus_cap
+    rows = rng.integers(-5_000, 5_000, (n_lanes, n_columns)).astype(np.int32)
+    dwell = rng.integers(0, cap + 1, (n_lanes, n_columns)).astype(np.int32)
+    return rows, dwell
+
+
+class TestKernelEdges:
+    """The C entry point itself: lanes by index, restarts, block segments
+    and the fused per-block reduce, against sdtw_resume and
+    reduce_block_minima."""
+
+    @pytest.mark.parametrize("block_start", [TILE - 1, TILE, TILE + 1])
+    def test_block_start_at_a_tile_edge(self, rng, block_start):
+        reference = rng.integers(-127, 128, 2 * TILE + 5)
+        rows, dwell = _resident(rng, 3, reference.size)
+        chunks = [rng.integers(-127, 128, n) for n in (1, 17, 0)]
+        _check_kernel_call(
+            chunks, reference, rows, dwell, [0, 1, 2], [False, False, False], [0, block_start]
+        )
+
+    def test_three_hundred_blocks_inside_one_tile(self, rng):
+        reference = rng.integers(-127, 128, TILE)
+        inner = np.sort(rng.choice(np.arange(1, TILE), size=299, replace=False))
+        rows, dwell = _resident(rng, 2, TILE)
+        chunks = [rng.integers(-127, 128, n) for n in (9, 3)]
+        _check_kernel_call(
+            chunks, reference, rows, dwell, [0, 1], [False, True], [0, *inner.tolist()]
+        )
+
+    def test_argmin_ties_go_to_the_first_column(self, rng):
+        """Constant samples over a constant reference leave every column
+        past a block's first equal, across tile edges; a lane without
+        samples is reduced from its stored row, whose minimum repeats in a
+        later tile."""
+        reference = np.full(2 * TILE + 7, 40)
+        chunks = [np.full(6, 25), np.zeros(0, dtype=np.int64)]
+        rows, dwell = _resident(rng, 2, reference.size)
+        rows[1] = 9
+        rows[1, [5, TILE + 3, 2 * TILE]] = -3
+        _check_kernel_call(
+            chunks, reference, rows, dwell, [0, 1], [True, False], [0, 700, TILE + 200]
+        )
+
+    def test_listed_lanes_of_a_resident_state(self, rng):
+        """Lanes [7, 2, 5] of ten advance in place; the other seven rows
+        keep their bytes."""
+        reference = rng.integers(-127, 128, TILE + 300)
+        rows, dwell = _resident(rng, 10, reference.size)
+        chunks = [rng.integers(-127, 128, n) for n in (12, 0, 5)]
+        _check_kernel_call(
+            chunks, reference, rows, dwell, [7, 2, 5], [False, False, False], [0, 333]
+        )
+
+    def test_restarted_lane_ignores_its_stale_rows(self, rng):
+        """A restarted lane starts free, whatever its stored rows and dwell
+        hold, even values the range guard would refuse."""
+        reference = rng.integers(-127, 128, TILE + 40)
+        rows, dwell = _resident(rng, 2, reference.size)
+        rows[0] = 2**30
+        dwell[0] = 7
+        chunks = [rng.integers(-127, 128, n) for n in (8, 8)]
+        _check_kernel_call(chunks, reference, rows, dwell, [0, 1], [True, False], [0])
+        assert not np.array_equal(rows[0], np.full(reference.size, 2**30))
+
+
 class TestTileEdges:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=tile_edge_rounds())
@@ -258,20 +384,16 @@ class TestCompiledKernel:
             assert np.array_equal(np.minimum(state.runs[lane], 4), np.minimum(scalar.run, 4))
 
     def test_column_zero_takes_no_diagonal_without_a_penalty(self, rng):
-        """The kernel severs column 0's diagonal itself: a caller whose
-        penalty is 0 there (no block start listed) gets sdtw_resume's row."""
+        """The kernel severs column 0's diagonal itself, with no penalty to
+        add: a resumed lane called through the raw ABI gets sdtw_resume's
+        row."""
         config = SDTWConfig.hardware()
         reference = rng.integers(-127, 128, TILE + 3).astype(np.int32)
         first, second = rng.integers(-127, 128, 9), rng.integers(-127, 128, 6)
         scalar = sdtw_resume(first, reference, config)
         rows = scalar.row.astype(np.int32)[None, :]
         dwell = np.minimum(scalar.run, config.match_bonus_cap).astype(np.int32)[None, :]
-        ckernel.load()(
-            1, reference.size, rows, dwell, second.astype(np.int32),
-            np.array([0, second.size], dtype=np.int64), reference,
-            np.zeros_like(reference), int(config.match_bonus), config.match_bonus_cap,
-            np.empty(second.size, dtype=np.int32),
-        )
+        _raw_call(ckernel.load(), rows, dwell, second, reference, config)
         assert np.array_equal(rows[0], sdtw_resume(second, reference, config, state=scalar).row)
 
     @pytest.mark.parametrize("way", ["compiled", "fallback", "backend", "backend-2-threads"])
@@ -347,12 +469,7 @@ class TestCompiledKernel:
         query = np.array([2, 7, -1, 4], dtype=np.int32)
         rows = np.zeros((1, reference.size), dtype=np.int32)
         dwell = np.zeros_like(rows)
-        penalty = np.zeros_like(reference)
-        penalty[0] = 2**30
-        offsets = np.array([0, query.size], dtype=np.int64)
-        halo = np.empty(query.size, dtype=np.int32)
-        function(1, reference.size, rows, dwell, query, offsets, reference, penalty,
-                 int(config.match_bonus), config.match_bonus_cap, halo)
+        _raw_call(function, rows, dwell, query, reference, config)
         assert np.array_equal(rows[0], sdtw_resume(query, reference, config).row)
 
     @pytest.mark.parametrize("prune", [False, True], ids=["brute", "pruned"])
@@ -380,6 +497,8 @@ class TestCompiledKernel:
                 backend.advance(lanes, chunks, prune_bounds=bounds)
                 state = backend.gather(lanes)
                 dtypes.append(state.rows.dtype)
+                # What summary()["kernel"]["dtype"] reports.
+                assert backend.dtype == str(state.rows.dtype)
                 calls.append((backend.stats.c_calls, backend.stats.generic_calls))
                 assert state.runs.dtype == state.rows.dtype
                 for lane, chunk in enumerate(chunks):
@@ -442,6 +561,7 @@ class TestCompiledKernel:
         compiled, compiled_kernel = run()
         assert compiled_kernel["compiled"] and compiled_kernel["c_calls"] > 0
         assert compiled_kernel["generic_calls"] == 0
+        assert compiled_kernel["dtype"] == "int32"
 
         monkeypatch.setattr(ckernel, "COMPILER", "repro-test-no-such-compiler")
         monkeypatch.setattr(ckernel, "_LOADER", ckernel._Loader())
@@ -454,3 +574,5 @@ class TestCompiledKernel:
         assert fallback == compiled
         assert fallback_kernel["compiled"] is False
         assert fallback_kernel["c_calls"] == 0 and fallback_kernel["generic_calls"] > 0
+        # The oracle's first round widened the storage for good.
+        assert fallback_kernel["dtype"] == "int64"

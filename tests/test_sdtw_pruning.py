@@ -16,10 +16,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.sdtw as sdtw_module
+from repro.batch.backends import NumpyBackend
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
 from repro.core.panel import TargetPanel
-from repro.core.sdtw import sdtw_resume
+from repro.core.sdtw import (
+    AdvanceStats,
+    BatchSDTWState,
+    reduce_block_minima,
+    sdtw_resume,
+    sdtw_resume_batch,
+)
 from repro.obs.trace import Tracer
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.read_until_api import SignalChunk
@@ -358,3 +366,114 @@ class TestPruneCounters:
         assert (
             sum(span.args["cells_advanced"] for span in spans) == engine.cells_advanced
         )
+
+
+# ------------------------------------------------------------ pruned shortcut
+_SHORTCUT_STARTS = np.array([0, 60])
+_SHORTCUT_COLUMNS = 130
+
+
+def _shortcut_round(kind, rng):
+    """Stored state, chunks and kill bounds of one pruned round of ``kind``.
+
+    Four lanes, and each half of them (the two groups of a two-thread
+    split) has the round's kind. Stored costs are 6,000 and more against
+    kill bounds of 5,000, so a column is live only where it is set lower:
+
+    * ``fresh``: lanes 0 and 2 restart over stale rows the range guard
+      would refuse, lane 1 is live in the middle of each block, lane 3 dead;
+    * ``covered``: no lane restarts, every block's first and last column is
+      live in some lane of each half (lane 0 at the first, lane 1 at the
+      last, lane 2 at both), and lane 3 is dead;
+    * ``partial``: lanes 0-2 are live only in the middle of each block, and
+      lane 3 is dead.
+    """
+    config = SDTWConfig.hardware()
+    rows = rng.integers(6_000, 9_000, (4, _SHORTCUT_COLUMNS))
+    runs = rng.integers(0, config.match_bonus_cap + 1, rows.shape)
+    processed = np.full(4, 50)
+    lasts = np.append(_SHORTCUT_STARTS[1:], _SHORTCUT_COLUMNS) - 1
+    middles = np.r_[20:30, 80:90]
+    if kind == "fresh":
+        processed[[0, 2]] = 0
+        rows[[0, 2]] = 2**28 - 1
+        rows[1, middles] = rng.integers(0, 4_000, middles.size)
+    elif kind == "covered":
+        rows[np.ix_([0, 2], _SHORTCUT_STARTS)] = 100
+        rows[np.ix_([1, 2], lasts)] = 200
+        rows[np.ix_([0, 1, 2], middles)] = rng.integers(0, 4_000, (3, middles.size))
+    else:
+        rows[np.ix_([0, 1, 2], middles)] = rng.integers(0, 4_000, (3, middles.size))
+    chunks = [rng.integers(-127, 128, n) for n in (7, 12, 5, 9)]
+    state = BatchSDTWState(rows, runs, processed)
+    return config, state, chunks, np.full(4, 5_000.0)
+
+
+class TestPrunedShortcut:
+    @pytest.mark.parametrize("workers", [None, 2], ids=["1-thread", "2-workers"])
+    @pytest.mark.parametrize("kind", ["fresh", "covered", "partial"])
+    def test_single_call_matches_the_span_driver(self, kind, workers, rng, monkeypatch):
+        """A pruned round whose spans would cover every column runs as one
+        in-place kernel call over the surviving lanes; rows, runs, costs,
+        ends and cell counts equal the span driver's, which builds the
+        union live mask. Other rounds run the span driver."""
+        config, state, chunks, bounds = _shortcut_round(kind, rng)
+        reference = rng.integers(-127, 128, _SHORTCUT_COLUMNS)
+        cap = config.match_bonus_cap
+        groups = [slice(0, 4)] if workers is None else [slice(0, 2), slice(2, 4)]
+
+        expected_stats = AdvanceStats()
+        expected_rows, expected_runs = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdtw_module, "_covers_every_block", lambda *args: False)
+            for group in groups:
+                advanced = sdtw_resume_batch(
+                    chunks[group], reference, config,
+                    state=BatchSDTWState(
+                        state.rows[group], state.runs[group], state.samples_processed[group]
+                    ),
+                    block_starts=_SHORTCUT_STARTS, prune_bounds=bounds[group],
+                    stats=expected_stats,
+                )
+                expected_rows.append(advanced.rows)
+                expected_runs.append(advanced.runs)
+        expected_rows = np.concatenate(expected_rows)
+        expected_runs = np.concatenate(expected_runs)
+
+        span_driver_calls = []
+        span_driver = sdtw_module._resume_batch_pruned
+        monkeypatch.setattr(
+            sdtw_module, "_resume_batch_pruned",
+            lambda *args: span_driver_calls.append(1) or span_driver(*args),
+        )
+        lanes = np.arange(4)
+        backend = NumpyBackend(
+            reference, config, capacity=4, block_starts=_SHORTCUT_STARTS, workers=workers
+        )
+        try:
+            backend.scatter(
+                lanes,
+                BatchSDTWState(
+                    state.rows.astype(np.int32), state.runs.astype(np.int32),
+                    state.samples_processed,
+                ),
+            )
+            costs, ends = backend.advance(lanes, chunks, prune_bounds=bounds)
+            gathered = backend.gather(lanes)
+        finally:
+            backend.close()
+
+        assert bool(span_driver_calls) == (kind == "partial")
+        assert backend.stats.generic_calls == 0
+        assert np.array_equal(gathered.rows, expected_rows)
+        assert np.array_equal(np.minimum(gathered.runs, cap), np.minimum(expected_runs, cap))
+        assert np.array_equal(
+            gathered.samples_processed, state.samples_processed + [c.size for c in chunks]
+        )
+        expected_costs, expected_ends = reduce_block_minima(expected_rows, _SHORTCUT_STARTS)
+        assert np.array_equal(costs, expected_costs)
+        assert np.array_equal(ends, expected_ends)
+        assert (backend.stats.cells_advanced, backend.stats.cells_pruned) == (
+            expected_stats.cells_advanced, expected_stats.cells_pruned
+        )
+        assert backend.stats.cells_pruned > 0

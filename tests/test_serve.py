@@ -488,6 +488,7 @@ class TestHttpEndToEnd:
 
         assert "# HELP repro_serve_kernel_calls_total" in metrics
         assert kernel["c_calls"] > 0
+        assert kernel["dtype"] == "int32"
         assert calls("c") == kernel["c_calls"]
         assert calls("generic") == kernel["generic_calls"] == 0
         serve_client.close_session(session_id)
