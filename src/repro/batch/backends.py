@@ -11,7 +11,8 @@ data-movement verbs plus lane bookkeeping:
   its new (kernel-scale) query samples and return the post-advance cost and
   end position per lane;
 * ``gather(lanes)`` / ``scatter(lanes, state)`` — copy lane state out of /
-  into the backend (snapshots, tests, interop, widening); cold paths;
+  into the backend (snapshots, tests, interop, and storing the rounds the
+  compiled kernel does not advance in place); cold paths;
 * ``allocate`` / ``reset`` — capacity growth and lane recycling.
 
 The backend is **panel-aware**: the reference it holds may be a
@@ -96,11 +97,14 @@ class NumpyBackend:
     rows and capped dwell are stored as ``int32``, the dtype the compiled
     kernel reads and writes, so a round copies and converts no lane state:
     the kernel restarts fresh lanes, severs panel blocks and reduces each
-    row itself. A round whose values leave the kernel's range comes back
-    ``int64`` from the oracle; the storage then widens to ``int64`` once,
-    for good, and later rounds gather, advance and store their lanes. With
-    threads, widening waits until every group has finished, so no group
-    writes int32 rows into storage that has been replaced.
+    row itself. Any other round (a pruned round whose spans leave columns
+    out, values outside the kernel's range, ``int64`` storage, no compiler)
+    comes back as the advanced lanes' state, and the backend stores it with
+    :meth:`scatter`. A round that leaves the kernel's range comes back
+    ``int64`` from the oracle, and storing it widens the storage to
+    ``int64`` once, for good. With threads, the calling thread stores the
+    groups' states once every group has finished, so no group writes int32
+    rows into storage that has been replaced.
     """
 
     backend_name = "numpy"
@@ -224,7 +228,7 @@ class NumpyBackend:
                 self._advance_groups(lanes, queries, prune_bounds, n_groups)
             else:
                 with tracer.span("backend.wavefront"):
-                    widened = sdtw_resume_batch(
+                    unstored = sdtw_resume_batch(
                         queries,
                         self.reference_values,
                         self.config,
@@ -235,9 +239,9 @@ class NumpyBackend:
                         lanes=lanes,
                         out=self._reductions,
                     )
-                if widened is not None:
+                if unstored is not None:
                     with tracer.span("backend.scatter"):
-                        self.scatter(lanes, widened)
+                        self.scatter(lanes, unstored)
             return self._reductions.costs[lanes], self._reductions.ends[lanes]
 
     def _advance_groups(
@@ -270,12 +274,12 @@ class NumpyBackend:
         if first_error is not None:
             raise first_error
         for thread, (start, stop, future) in enumerate(zip(edges, edges[1:], futures)):
-            widened, stats, records = future.result()
+            unstored, stats, records = future.result()
             self.stats.merge(stats)
             tracer.merge_worker_records(records, track=f"numpy-thread-{thread}")
-            if widened is not None:
+            if unstored is not None:
                 # Only now that no group writes int32 rows may the storage widen.
-                self.scatter(lanes[start:stop], widened)
+                self.scatter(lanes[start:stop], unstored)
 
     def _advance_group(
         self,
@@ -287,15 +291,15 @@ class NumpyBackend:
         """Advance one group's lanes in place (pool thread).
 
         Groups hold disjoint lanes, so they write disjoint rows of the
-        resident state and its reductions. Lanes that must widen the storage
-        come back for the calling thread to store. A :class:`Tracer` keeps
+        resident state and its reductions. Lanes the kernel did not advance
+        in place come back for the calling thread to store. A :class:`Tracer` keeps
         one span stack, so this never opens a span: with ``trace`` on it
         stamps worker-span tuples for the calling thread to merge.
         """
         clock = time.perf_counter
         start_s = clock() if trace else 0.0
         stats = AdvanceStats()
-        widened = sdtw_resume_batch(
+        unstored = sdtw_resume_batch(
             queries,
             self.reference_values,
             self.config,
@@ -313,7 +317,7 @@ class NumpyBackend:
                 worker_span("worker.wavefront", start_s, end_s, depth=1),
                 worker_span("worker.advance", start_s, end_s, child_s=end_s - start_s),
             ]
-        return widened, stats, records
+        return unstored, stats, records
 
     def gather(self, lanes: np.ndarray) -> BatchSDTWState:
         """Copy the given lanes' state into a fresh :class:`BatchSDTWState`."""
@@ -328,8 +332,9 @@ class NumpyBackend:
 
         Numpy's setitem casts silently, so int64 values are never assigned
         into int32 storage. Dwell is stored capped (``min(run, cap)``, the
-        only value the recurrence reads), as the compiled kernel reads it,
-        and the lanes' reductions are recomputed from their new rows.
+        only value the recurrence reads), as the compiled kernel reads and
+        writes it, so stored dwell means the same on every path; the lanes'
+        reductions are recomputed from their new rows.
         """
         if state.rows.dtype.itemsize > self._state.rows.dtype.itemsize:
             self._state = BatchSDTWState(

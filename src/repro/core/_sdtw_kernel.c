@@ -67,8 +67,10 @@
 #define LEFT 16
 /* Steps run whole groups of VECTOR columns, so a segment needs no scalar
  * remainder loop: the columns a group computes past its segment's end are
- * recomputed by the next segment, or lie past the tile, in the buffers'
- * padding, and are never stored. */
+ * recomputed by the next segment, or lie past the tile's last column and
+ * are never stored. The VECTOR cells past that column are zeroed when the
+ * tile loads, so they step like extra free-start columns of the lane,
+ * inside the call's range. */
 #define VECTOR 16
 
 /* The diagonal source left of column 0 and of every block start: above
@@ -172,6 +174,10 @@ void sdtw_advance_int32(int64_t n_lanes, const int64_t *lanes, const _Bool *rest
             } else if (n_samples) {
                 memcpy(row_buffers[0] + LEFT, row, width * sizeof(int32_t));
                 memcpy(run_buffers[0] + LEFT, run, width * sizeof(int32_t));
+            }
+            if (n_samples) {
+                memset(row_buffers[0] + LEFT + width, 0, VECTOR * sizeof(int32_t));
+                memset(run_buffers[0] + LEFT + width, 0, VECTOR * sizeof(int32_t));
             }
             for (int64_t i = 0; i < n_samples; ++i) {
                 int32_t *now_row = row_buffers[i % 2] + LEFT;

@@ -623,12 +623,14 @@ def sdtw_resume_batch(
     ``lanes`` makes the call an in-place advance of a resident state (the
     numpy backend's hot path): query ``k`` advances row ``lanes[k]`` of
     ``state`` (listed lanes are distinct), and ``out`` is the state's
-    :class:`RowReductions`, which the call reads instead of scanning rows
-    and keeps current. It returns ``None`` once the listed lanes' rows,
-    dwell, sample counts and reductions are stored. Only when their new rows
-    no longer fit the state's dtype (the oracle's ``int64`` against
-    ``int32`` storage) does it store nothing and return the advanced lanes'
-    state instead, for the caller to store after widening its storage.
+    :class:`RowReductions`, which the call reads instead of scanning rows.
+    When the compiled kernel advances the listed rows where they lie, or a
+    pruned round abandons every listed lane, the call stores the rows,
+    dwell, sample counts and reductions itself and returns ``None``. Every
+    other call (``int64`` or float storage, values outside the kernel's
+    range, no compiler, pruned spans that leave columns out) stores nothing
+    and returns the listed lanes' advanced state, for the caller to store,
+    widening ``int32`` storage first when that state is ``int64``.
     """
     cfg = config if config is not None else SDTWConfig()
     if cfg.allow_reference_deletions:
@@ -680,17 +682,55 @@ def sdtw_resume_batch(
         return _advance_resident(
             chunks, lengths, reference_values, cfg, state, lanes, starts, bounds, out, stats
         )
+    surviving = None
+    if bounds is not None:
+        restart = (state.samples_processed == 0) & (lengths > 0)
+        surviving = _pruned_survivors(state.rows.min(axis=1), lengths, restart, bounds)
+    return _advance_copy(
+        chunks, lengths, reference_values, cfg, state, starts, bounds, surviving, stats
+    )
+
+
+def _advance_copy(
+    chunks: List[np.ndarray],
+    lengths: np.ndarray,
+    reference_values: np.ndarray,
+    cfg: SDTWConfig,
+    state: BatchSDTWState,
+    starts: np.ndarray,
+    bounds: Optional[np.ndarray],
+    surviving: Optional[np.ndarray],
+    stats: Optional[AdvanceStats],
+) -> BatchSDTWState:
+    """Advance ``state`` into new arrays, leaving it as it was.
+
+    Without ``bounds`` every lane advances over every column; with them, the
+    lanes at positions ``surviving`` (:func:`_pruned_survivors`) advance over
+    their pruned spans.
+    """
     processed = state.samples_processed + lengths
-    if not lengths.any():
-        return BatchSDTWState(state.rows.copy(), state.runs.copy(), processed)
     arrays = (chunks, reference_values, cfg, state.rows, state.runs, state.samples_processed)
     if bounds is not None:
-        rows, runs = _resume_batch_pruned(*arrays, starts, bounds, stats)
-    else:
+        rows, runs = _resume_batch_pruned(*arrays, starts, bounds, surviving, stats)
+    elif lengths.any():
         if stats is not None:
-            stats.add(int(lengths.sum()) * reference_length, 0)
+            stats.add(int(lengths.sum()) * state.reference_length, 0)
         rows, runs = _wavefront(*arrays, starts, stats)
+    else:
+        rows, runs = state.rows.copy(), state.runs.copy()
     return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
+
+
+def _pruned_survivors(
+    row_minima: np.ndarray, lengths: np.ndarray, restart: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """The positions of the lanes a pruned round advances.
+
+    A lane with samples survives while its row's minimum is at or below its
+    kill bound, and always when it restarts: its stored row then gives way
+    to the free start. Every other lane skips the round (early abandoning).
+    """
+    return np.flatnonzero(restart | ((lengths > 0) & (row_minima <= bounds)))
 
 
 def _magnitudes(rows: np.ndarray) -> np.ndarray:
@@ -708,8 +748,9 @@ class RowReductions:
     (``(capacity,)``) an upper bound on each stored row's ``max |row|``. An
     in-place :func:`sdtw_resume_batch` (``lanes=``) reads the row minima for
     pruning liveness and the magnitudes for its ``int32`` range guard instead
-    of scanning rows, and rewrites all three for the lanes it advances. A
-    lane at the free start (a zero row) reduces to zeros.
+    of scanning rows. The compiled kernel rewrites all three for the lanes
+    it advances; :meth:`store` reduces rows stored any other way. A lane at
+    the free start (a zero row) reduces to zeros.
     """
 
     __slots__ = ("costs", "ends", "magnitudes")
@@ -758,38 +799,36 @@ def _advance_resident(
     they lie: it restarts fresh lanes itself and reduces every row it
     finishes into ``out``, so a round copies no lane state. Its range guard
     reads ``out.magnitudes``. A pruned round reads the exact row minima in
-    ``out.costs``: a lane whose minimum is above its bound is dead and stays
-    frozen, and when the survivors' spans would be whole blocks (a survivor
-    restarts, or :func:`_covers_every_block`) the round is the same single
-    call over the survivors, counted as the span driver counts it. Every
-    other call (int64 or float storage, values outside the guard, no
-    compiler, spans that leave columns out) gathers the listed lanes,
-    advances them through the functional path and stores them back.
+    ``out.costs`` (:func:`_pruned_survivors`): dead lanes stay frozen, and
+    when the survivors' spans would be whole blocks (a survivor restarts, or
+    :func:`_covers_every_block`) the round is the same single call over the
+    survivors, counted as the span driver counts it. Every other call
+    advances a copy of the listed lanes (:func:`_advance_copy`, given the
+    survivors) and returns it for the caller to store.
     """
     n_columns = state.reference_length
     nominal = int(lengths.sum()) * n_columns
     if not nominal:
         return None
     restart = (state.samples_processed[lanes] == 0) & (lengths > 0)
-    picked = None  # the listed positions a pruned round advances
+    surviving = None  # the listed positions a pruned round advances
     whole = True
     if bounds is not None:
-        row_minima = out.costs[lanes].min(axis=1)
-        surviving = restart | ((lengths > 0) & (row_minima <= bounds))
-        if not surviving.any():
+        surviving = _pruned_survivors(out.costs[lanes].min(axis=1), lengths, restart, bounds)
+        if not surviving.size:
             if stats is not None:
                 stats.add(0, nominal)
             state.samples_processed[lanes] += lengths
             return None
-        picked = np.flatnonzero(surviving)
         whole = bool(restart.any()) or _covers_every_block(
-            state.rows, lanes[picked], bounds[picked], starts
+            state.rows, lanes[surviving], bounds[surviving], starts
         )
     if whole and state.rows.dtype == np.int32 and int32_data_path(cfg):
         run_lanes, run_chunks, run_lengths, run_restart = lanes, chunks, lengths, restart
-        if picked is not None:
-            run_lanes, run_lengths, run_restart = lanes[picked], lengths[picked], restart[picked]
-            run_chunks = [chunks[index] for index in picked]
+        if surviving is not None:
+            run_lanes, run_lengths = lanes[surviving], lengths[surviving]
+            run_restart = restart[surviving]
+            run_chunks = [chunks[index] for index in surviving]
         rows_bound = int(out.magnitudes[run_lanes[~run_restart]].max(initial=0))
         query = _int32_query(run_chunks, run_lengths, reference_values, cfg, rows_bound)
         if query is not None:
@@ -809,17 +848,9 @@ def _advance_resident(
     gathered = BatchSDTWState(
         state.rows[lanes], state.runs[lanes], state.samples_processed[lanes]
     )
-    advanced_state = sdtw_resume_batch(
-        chunks, reference_values, cfg, state=gathered, block_starts=starts,
-        prune_bounds=bounds, stats=stats,
+    return _advance_copy(
+        chunks, lengths, reference_values, cfg, gathered, starts, bounds, surviving, stats
     )
-    if advanced_state.rows.dtype.itemsize > state.rows.dtype.itemsize:
-        return advanced_state
-    state.rows[lanes] = advanced_state.rows
-    state.runs[lanes] = advanced_state.runs
-    state.samples_processed[lanes] = advanced_state.samples_processed
-    out.store(lanes, advanced_state.rows, starts)
-    return None
 
 
 def _covers_every_block(
@@ -923,6 +954,7 @@ def _resume_batch_pruned(
     samples_processed: np.ndarray,
     starts: np.ndarray,
     bounds: np.ndarray,
+    surviving: np.ndarray,
     stats: Optional[AdvanceStats],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Prune-bounded advance: exact below the bound, frozen above it.
@@ -933,40 +965,33 @@ def _resume_batch_pruned(
     already includes the maximum remaining ``match_bonus`` credit). Dead
     columns keep their exact stored value — freezing, not sentinel-poisoning,
     which keeps the int32 fast path eligible and lets a column whose bound
-    later relaxes resume from bit-exact state. A lane with no live column
-    skips the round entirely (early abandoning); the survivors advance only
-    the per-block ``[lo, last_live + 1 + steps)`` spans of the union live
+    later relaxes resume from bit-exact state. Only the lanes at positions
+    ``surviving`` (:func:`_pruned_survivors`; none when every lane is
+    abandoned) advance, and only over the per-block
+    ``[lo, last_live + 1 + steps)`` spans of the union live
     mask — information moves one column rightward per query step and never
     crosses a block boundary, so everything outside the spans would stay dead
     all round. The severed diagonal at each span's left edge only ever
     *raises* values that were already provably above the bound, so every
     output cost at or below the decision bound is bit-identical to the
     brute-force advance. A fresh lane's stored row is replaced by the free
-    start, so a survivor that restarts makes every column live; so does a
-    round where every block's first and last column is live
-    (:func:`_covers_every_block`), which then runs as one span.
+    start, so a survivor that restarts (every survivor has samples) makes
+    every column live.
     """
     reference_length = int(reference_values.shape[0])
     lengths = np.fromiter((chunk.shape[0] for chunk in chunks), np.int64, len(chunks))
     nominal = int(lengths.sum()) * reference_length
-    restart = (samples_processed == 0) & (lengths > 0)
-    surviving = np.flatnonzero(restart | ((lengths > 0) & (rows.min(axis=1) <= bounds)))
 
     out_rows = rows.copy()
     out_runs = runs.copy()
-    if not surviving.size:
-        if stats is not None:
-            stats.add(0, nominal)
-        return out_rows, out_runs
-
     spans: List[Tuple[int, int]] = []
-    if restart.any() or _covers_every_block(rows, surviving, bounds[surviving], starts):
+    if (samples_processed[surviving] == 0).any():
         spans.append((0, reference_length))
     else:
         union = np.zeros(reference_length, dtype=bool)
         for index in surviving:
             union |= rows[index] <= bounds[index]
-        max_steps = int(lengths[surviving].max())
+        max_steps = int(lengths[surviving].max(initial=0))
         block_bounds = [int(start) for start in starts] + [reference_length]
         for block in range(len(block_bounds) - 1):
             start, end = block_bounds[block], block_bounds[block + 1]

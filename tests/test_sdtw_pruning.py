@@ -424,19 +424,17 @@ class TestPrunedShortcut:
 
         expected_stats = AdvanceStats()
         expected_rows, expected_runs = [], []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sdtw_module, "_covers_every_block", lambda *args: False)
-            for group in groups:
-                advanced = sdtw_resume_batch(
-                    chunks[group], reference, config,
-                    state=BatchSDTWState(
-                        state.rows[group], state.runs[group], state.samples_processed[group]
-                    ),
-                    block_starts=_SHORTCUT_STARTS, prune_bounds=bounds[group],
-                    stats=expected_stats,
-                )
-                expected_rows.append(advanced.rows)
-                expected_runs.append(advanced.runs)
+        for group in groups:
+            advanced = sdtw_resume_batch(
+                chunks[group], reference, config,
+                state=BatchSDTWState(
+                    state.rows[group], state.runs[group], state.samples_processed[group]
+                ),
+                block_starts=_SHORTCUT_STARTS, prune_bounds=bounds[group],
+                stats=expected_stats,
+            )
+            expected_rows.append(advanced.rows)
+            expected_runs.append(advanced.runs)
         expected_rows = np.concatenate(expected_rows)
         expected_runs = np.concatenate(expected_runs)
 
