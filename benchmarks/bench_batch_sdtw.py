@@ -28,8 +28,9 @@ Two entry points:
   genome (one lane cannot be split, so every row runs it on one thread);
   ``flowcell_pruned``: a minority of channels stream reads sampled from the
   reference plus noise while the rest stream random signal, and every row
-  is measured brute-force **and** with the pruning layer on (kill bounds
-  from a threshold placed between the two cost distributions) — the
+  is measured brute-force **and** with the engine's prune gate on (kill
+  bounds from a threshold placed between the two cost distributions; a lane
+  whose cached costs pass its bound stops advancing) — the
   ``<row>[pruned]`` entries carry ``cells_advanced`` / ``cells_pruned`` /
   ``pruned_fraction`` and ``speedup_vs_unpruned``, after asserting
   accept/eject decisions and every below-threshold cost are bit-identical
@@ -37,9 +38,10 @@ Two entry points:
   the adaptive-sampling regime the gate targets: a full flowcell of
   mostly-off-target channels (one lane in 128 on target by default), short
   chunks, and many decision rounds, measured brute-force, pruned, **and**
-  pruned with the lower-bound lane gate on (``lb_cascade=True``) — the
-  ``<row>[lb]`` entries add ``lanes_lb_skipped`` / ``cells_lb_skipped`` and
-  ``speedup_vs_pruned``, the gate's win over column pruning alone, under
+  pruned with the gate tightened by the lower bound (``lb_cascade=True``)
+  — the ``<row>[lb]`` entries add ``lanes_lb_skipped`` / ``cells_lb_skipped``
+  and ``speedup_vs_pruned``, the lower bound's win over the gate on cached
+  costs alone, under
   the same in-bench bit-identity assertions — and emits per-row JSON so
   throughput scaling with ``--workers`` is measurable. Every engine run is
   traced (:mod:`repro.obs`), so each entry carries a ``phases`` self-time
@@ -53,11 +55,11 @@ Two entry points:
   output per PR, the performance trajectory baseline.
 
 Every entry reports two cell rates. ``nominal_cells_per_s`` counts every
-cell of the full DP problem per second — pruned cells retire for free, so
-pruning raises it; it is the end-to-end throughput figure.
+cell of the full DP problem per second — the cells of skipped lanes retire
+for free, so the gate raises it; it is the end-to-end throughput figure.
 ``effective_cells_per_s`` counts only the cells the kernel actually advanced
-per second — the raw compute rate, roughly constant with or without pruning.
-Without pruning the two coincide.
+per second — the raw compute rate, roughly constant with or without the
+gate. Without it the two coincide.
 
 Both emit a machine-readable JSON report (``BATCH_SDTW_JSON`` / ``--json``
 choose the path; unset or ``-`` prints to stdout only). Pytest tunables:
@@ -111,8 +113,8 @@ def _pruned_chunk_rounds(rng, reference, n_channels, n_rounds, chunk_samples,
     from the reference itself plus small quantization noise (their costs land
     far below any sensible threshold — the match bonus drives them strongly
     negative); the rest stream random signal (costs far above). The gap is
-    what the pruning layer exploits: off-target lanes blow through the kill
-    bound early and freeze, on-target lanes stay fully alive.
+    what the prune gate exploits: off-target lanes blow through the kill
+    bound early and stop advancing, on-target lanes stay fully alive.
     """
     total = n_rounds * chunk_samples
     on_target = np.zeros(n_channels, dtype=bool)
@@ -152,11 +154,10 @@ def _measure_engine(rounds, reference, config, backend_options,
     attribute round time to execution phases; the tracer is one predicted
     branch plus a perf_counter pair per span, far below measurement noise.
 
-    With ``prune_threshold`` set the engine runs its pruning layer the way
-    the streaming classifier drives it: the threshold is the decision bound,
+    With ``prune_threshold`` set the engine runs its lane gate the way the
+    streaming classifier drives it: the threshold is the decision bound,
     ``prune_lifetime`` the most samples any lane will ever consume.
-    ``lb_cascade`` additionally turns on the lower-bound lane gate in front
-    of the backend dispatch.
+    ``lb_cascade`` additionally tightens the gate with the lower bound.
     """
     tracer = Tracer(track="bench")
     prune = prune_threshold is not None
@@ -243,14 +244,14 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
 
     With ``prune_on_target`` (a per-channel boolean mask; pair with
     ``round_chunks`` from :func:`_pruned_chunk_rounds`) every spec is
-    measured a second time with the pruning layer on, against a threshold
+    measured a second time with the prune gate on, against a threshold
     placed midway between the on- and off-target cost distributions; the
     extra ``<label>[pruned]`` entries carry ``speedup_vs_unpruned`` and the
     pruning counters, after asserting the decisions and every
     below-threshold cost match brute force bit for bit. ``lb_gate=True``
-    adds a third measurement per spec with the lower-bound lane gate on
-    (``<label>[lb]``, carrying ``speedup_vs_pruned`` and the gate counters)
-    under the same bit-identity assertions.
+    adds a third measurement per spec with the gate tightened by the lower
+    bound (``<label>[lb]``, carrying ``speedup_vs_pruned`` and the LB
+    counters) under the same bit-identity assertions.
     """
     if backend_specs is None:
         backend_specs = [("numpy", None)]
@@ -307,7 +308,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
         try:
             # The pruning exactness contract: accept/eject decisions are
             # bit-identical, and every cost at or below the threshold is
-            # bit-exact (value and end position). Costs above the bound may
+            # bit-exact (value and end position). A skipped lane's cost may
             # be stale in either direction but can never falsely dip below.
             for channel, state in states.items():
                 snapshot = snapshots[channel]
@@ -333,7 +334,7 @@ def _measure(reference, n_channels, backend_specs=None, rounds=ROUNDS,
             prune_threshold=threshold, prune_lifetime=lifetime, lb_cascade=True,
         )
         try:
-            # The gate shares the pruning exactness contract: identical
+            # The lower bound keeps the pruning exactness contract: identical
             # decisions, bit-exact accepted costs — lanes it skipped are
             # provably above the bound, clamped costs included.
             for channel, state in states.items():
@@ -489,7 +490,7 @@ def main(argv=None):
         type=int,
         default=128,
         help="channels for the flowcell_pruned workload, which measures "
-        "every row brute-force and with the pruning layer on "
+        "every row brute-force and with the prune gate on "
         "(0 skips it)",
     )
     parser.add_argument(
@@ -497,8 +498,8 @@ def main(argv=None):
         type=int,
         default=8,
         help="chunk rounds for the flowcell_pruned workload (off-target "
-        "lanes freeze after round one, so more rounds mean a larger "
-        "pruned fraction — mirroring longer streamed prefixes)",
+        "lanes stop advancing after a round or two, so more rounds mean a "
+        "larger pruned fraction — mirroring longer streamed prefixes)",
     )
     parser.add_argument(
         "--on-target-fraction",
@@ -506,37 +507,37 @@ def main(argv=None):
         default=0.25,
         help="fraction of flowcell_pruned channels streaming reference-"
         "derived (accepted) reads; the rest stream random signal the "
-        "pruning layer abandons early",
+        "prune gate abandons early",
     )
     parser.add_argument(
         "--require-pruning",
         action="store_true",
         help="fail unless the pruned entries actually pruned cells "
-        "(cells_pruned > 0) — the CI smoke gate for the pruning layer",
+        "(cells_pruned > 0) — the CI smoke gate for the prune gate",
     )
     parser.add_argument(
         "--lb-channels",
         type=int,
         default=512,
         help="channels for the flowcell_lb workload, which measures every "
-        "row brute-force, pruned, and pruned with the lower-bound lane "
-        "gate on (0 skips it)",
+        "row brute-force, pruned, and pruned with the lower bound on "
+        "(0 skips it)",
     )
     parser.add_argument(
         "--lb-rounds",
         type=int,
         default=40,
-        help="chunk rounds for the flowcell_lb workload (gated lanes skip "
-        "dispatch entirely after the gate fires, so more rounds mean a "
-        "larger skipped fraction)",
+        help="chunk rounds for the flowcell_lb workload (a lane skips "
+        "dispatch every round after the gate kills it, so more rounds mean "
+        "a larger skipped fraction)",
     )
     parser.add_argument(
         "--lb-chunk-samples",
         type=int,
         default=50,
         help="chunk size for the flowcell_lb workload; short chunks mean "
-        "frequent decision rounds, the adaptive-sampling regime where "
-        "skipping a dead lane's dispatch beats re-scanning its columns",
+        "frequent decision rounds, the adaptive-sampling regime where a "
+        "lower bound on the coming chunk kills a lane a round earlier",
     )
     parser.add_argument(
         "--lb-on-target-fraction",
@@ -544,13 +545,13 @@ def main(argv=None):
         default=0.0078125,
         help="fraction of flowcell_lb channels streaming reference-derived "
         "reads (default one in 128: enrichment targets are rare); "
-        "mostly-off-target traffic is the regime the lane gate targets",
+        "mostly-off-target traffic is the regime the lower bound targets",
     )
     parser.add_argument(
         "--require-lb",
         action="store_true",
         help="fail unless the [lb] entries actually skipped lanes "
-        "(lanes_lb_skipped > 0) — the CI smoke gate for the lane gate",
+        "(lanes_lb_skipped > 0) — the CI smoke gate for the lower bound",
     )
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
@@ -606,7 +607,7 @@ def main(argv=None):
 
     if args.pruned_channels:
         # The pruning workload: mixed on-/off-target traffic, every row
-        # measured brute-force and pruned against the same kill threshold.
+        # measured brute-force and gated against the same threshold.
         pruned_rng = np.random.default_rng(args.seed + 2)
         pruned_chunks, on_target = _pruned_chunk_rounds(
             pruned_rng,
@@ -627,9 +628,9 @@ def main(argv=None):
         )
 
     if args.lb_channels:
-        # The lane-gate workload: mostly off-target traffic, every row
-        # measured brute-force, column-pruned, and column-pruned with the
-        # lower-bound cascade skipping dead lanes before dispatch.
+        # The lower-bound workload: mostly off-target traffic, every row
+        # measured brute-force, gated on cached costs, and gated with the
+        # lower bound on each chunk added to them.
         lb_rng = np.random.default_rng(args.seed + 3)
         lb_chunks, lb_on_target = _pruned_chunk_rounds(
             lb_rng,
@@ -661,8 +662,8 @@ def main(argv=None):
             for measured in _REPORTS.values()
             if isinstance(measured, dict) and "backends" in measured
             for label, entry in measured["backends"].items()
-            # [lb] entries may legitimately skip whole lanes before the
-            # column-pruning layer sees them; the gate below covers those.
+            # [lb] entries count the lanes the gate skips as LB-skipped, not
+            # pruned; the --require-lb gate below covers those.
             if "prune_threshold" in entry and not label.endswith("[lb]")
         }
         if not pruned_entries:
@@ -674,7 +675,7 @@ def main(argv=None):
             if entry["cells_pruned"] <= 0:
                 raise SystemExit(
                     f"--require-pruning: backend {label} advanced every cell "
-                    f"(cells_pruned == 0); the pruning layer never engaged"
+                    f"(cells_pruned == 0); the prune gate never fired"
                 )
 
     if args.require_lb:

@@ -35,10 +35,10 @@ the paper assigning each read to an available tile. Every group runs the
 same kernel on its own lanes' state, so costs, rows and therefore Read Until
 decisions are bit-identical whatever ``workers`` is.
 
-Every ``advance`` additionally accepts per-lane ``prune_bounds`` (kill
-thresholds for the kernel's pruning layer — see
-:func:`~repro.core.sdtw.sdtw_resume_batch`) and accumulates the
-advanced/pruned cell counts in :attr:`NumpyBackend.stats`.
+Every ``advance`` moves each listed lane over every column and accumulates
+the advanced cells and the kernel path in :attr:`NumpyBackend.stats`;
+pruning is the engine's lane gate, which decides before dispatch which
+lanes are listed at all.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ class NumpyBackend:
     rows and capped dwell are stored as ``int32``, the dtype the compiled
     kernel reads and writes, so a round copies and converts no lane state:
     the kernel restarts fresh lanes, severs panel blocks and reduces each
-    row itself. Any other round (a pruned round whose spans leave columns
-    out, values outside the kernel's range, ``int64`` storage, no compiler)
-    comes back as the advanced lanes' state, and the backend stores it with
-    :meth:`scatter`. A round that leaves the kernel's range comes back
-    ``int64`` from the oracle, and storing it widens the storage to
+    row itself. Any other round (values outside the kernel's range,
+    ``int64`` storage, no compiler) comes back as the advanced lanes'
+    state, and the backend stores it with :meth:`scatter`. A round that
+    leaves the kernel's range comes back ``int64`` from the oracle, and
+    storing it widens the storage to
     ``int64`` once, for good. With threads, the calling thread stores the
     groups' states once every group has finished, so no group writes int32
     rows into storage that has been replaced.
@@ -130,8 +130,8 @@ class NumpyBackend:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = 1 if workers is None else int(workers)
         self.block_starts = normalize_block_starts(block_starts, self.reference_values.size)
-        # Advanced/pruned cell and kernel-path counts summed over every
-        # `advance`; the engine and the serving layer read them.
+        # Advanced-cell and kernel-path counts summed over every `advance`;
+        # the engine and the serving layer read them.
         self.stats = AdvanceStats()
         self._state = BatchSDTWState.initial(
             capacity, self.reference_values.size, self.config
@@ -205,7 +205,6 @@ class NumpyBackend:
         self,
         lanes: np.ndarray,
         queries: Sequence[np.ndarray],
-        prune_bounds: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Advance each listed lane with its new query samples (the hot path).
 
@@ -213,9 +212,7 @@ class NumpyBackend:
         n_blocks)``: the post-advance cost and block-local end position per
         lane **per panel target**, bit-identical to independent
         single-reference runs. The resident rows, runs and sample counts are
-        updated in place. ``prune_bounds`` (one kill threshold per listed
-        lane, ``inf`` = never prune) engages the kernel's pruning layer; it
-        is ``None`` when pruning is off.
+        updated in place.
         """
         if self._closed:
             raise RuntimeError("backend is closed")
@@ -225,7 +222,7 @@ class NumpyBackend:
         with tracer.span("backend.advance", backend="numpy", n_lanes=n_lanes):
             n_groups = min(self.workers, n_lanes)
             if n_groups >= 2:
-                self._advance_groups(lanes, queries, prune_bounds, n_groups)
+                self._advance_groups(lanes, queries, n_groups)
             else:
                 with tracer.span("backend.wavefront"):
                     unstored = sdtw_resume_batch(
@@ -234,7 +231,6 @@ class NumpyBackend:
                         self.config,
                         state=self._state,
                         block_starts=self.block_starts,
-                        prune_bounds=prune_bounds,
                         stats=self.stats,
                         lanes=lanes,
                         out=self._reductions,
@@ -248,7 +244,6 @@ class NumpyBackend:
         self,
         lanes: np.ndarray,
         queries: Sequence[np.ndarray],
-        prune_bounds: Optional[np.ndarray],
         n_groups: int,
     ) -> None:
         """Advance ``n_groups`` contiguous lane groups on the pool threads."""
@@ -260,7 +255,6 @@ class NumpyBackend:
                 self._advance_group,
                 lanes[start:stop],
                 queries[start:stop],
-                None if prune_bounds is None else prune_bounds[start:stop],
                 tracer.enabled,
             )
             for start, stop in zip(edges, edges[1:])
@@ -285,7 +279,6 @@ class NumpyBackend:
         self,
         lanes: np.ndarray,
         queries: Sequence[np.ndarray],
-        prune_bounds: Optional[np.ndarray],
         trace: bool,
     ) -> Tuple[Optional[BatchSDTWState], AdvanceStats, Optional[List[WorkerSpan]]]:
         """Advance one group's lanes in place (pool thread).
@@ -305,7 +298,6 @@ class NumpyBackend:
             self.config,
             state=self._state,
             block_starts=self.block_starts,
-            prune_bounds=prune_bounds,
             stats=stats,
             lanes=lanes,
             out=self._reductions,

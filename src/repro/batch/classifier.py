@@ -168,10 +168,9 @@ class BatchSquiggleClassifier:
                 "no threshold configured; call calibrate() or pass threshold explicitly"
             )
         check_round_chunks(chunks)
-        # The eject threshold is the decision bound the pruning layer
-        # protects; stamped every round because calibrate() may run after
-        # construction (the engine's kill-bound envelope keeps per-lane
-        # bounds monotone even if it moves).
+        # The eject threshold is the decision bound the lane gate protects;
+        # stamped every round because calibrate() may run after construction
+        # (a lane the gate killed stays dead even if it moves).
         self.engine.prune_bound = float(self.threshold)
         with self.tracer.span("round.prepare", n_chunks=len(chunks)):
             items = []

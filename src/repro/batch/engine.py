@@ -37,7 +37,7 @@ from repro.batch.backends import NumpyBackend
 from repro.core.config import SDTWConfig
 from repro.core.panel import TargetPanel
 from repro.core.reference import ReferenceSquiggle
-from repro.core.sdtw import SDTWState, lb_envelopes, lb_keogh_bounds, lb_kim_bound
+from repro.core.sdtw import SDTWState, lb_envelopes, lb_keogh_bounds
 from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = ["BatchRound", "BatchSDTWEngine", "LaneSnapshot"]
@@ -118,20 +118,22 @@ class BatchSDTWEngine:
         timeline.
         Tracing never changes what the engine computes.
     prune:
-        Enable the kernel's pruning layer (early abandoning +
-        active-column intervals). Off by default — the brute-force
-        advance is preserved bit for bit. Pruning engages once
-        :attr:`prune_bound` is set (the decision bound, e.g. the eject
-        threshold): costs at or below ``prune_bound + prune_margin``
-        stay bit-identical to brute force, so decisions against the
-        bound never change; costs above it are approximate.
+        Enable the lane gate: before each round is dispatched, a lane
+        whose cached per-target costs already exceed its kill bound dies,
+        and from then on skips the backend (early abandoning). Off by
+        default — the brute-force advance is preserved bit for bit. The
+        gate engages once :attr:`prune_bound` is set (the decision bound,
+        e.g. the eject threshold): live lanes advance over every column,
+        so costs at or below ``prune_bound + prune_margin`` stay
+        bit-identical to brute force and decisions against the bound never
+        change; a dead lane's costs stay above the bound.
     prune_margin:
         Extra slack added to :attr:`prune_bound` before deriving kill
-        bounds. ``0.0`` prunes most aggressively while keeping decisions
-        exact; a positive margin additionally keeps every reported cost
-        within ``margin`` of the bound bit-exact (useful when callers
-        inspect near-threshold costs, at the price of fewer pruned
-        cells).
+        bounds; finite and non-negative. ``0.0`` prunes most aggressively
+        while keeping decisions exact; a positive margin additionally
+        keeps every reported cost within ``margin`` of the bound bit-exact
+        (useful when callers inspect near-threshold costs, at the price of
+        fewer pruned lanes).
     prune_lifetime_samples:
         Upper bound on the total query samples any lane will ever
         consume (e.g. the classifier's decision prefix). The match bonus
@@ -140,17 +142,14 @@ class BatchSDTWEngine:
         required when ``prune`` is on and the config uses a bonus.
         Feeding a lane beyond this bound voids the exactness guarantee.
     lb_cascade:
-        Enable the lower-bound lane gate (requires ``prune``). Before
-        dispatching a round, each lane's cheapest admissible cost is
-        lower-bounded by a cascade of cheap bounds (LB_Kim-style
-        first/last-sample bound against the reference value extrema,
-        then an LB_Keogh-style per-block envelope bound); a lane whose
-        bound provably exceeds its kill bound skips the wavefront
-        advance entirely that round and is marked stale-dead — it is
-        never advanced again. Bounds are conservative, so the
-        same exactness contract as ``prune`` holds: decisions and every
-        cost at or below ``prune_bound + prune_margin`` stay
-        bit-identical to brute force.
+        Tighten the lane gate with a lower bound (requires ``prune``): a
+        lane's floor becomes its cached per-target costs plus the
+        LB_Keogh-style cost its new chunk must add in each target
+        (:func:`~repro.core.sdtw.lb_keogh_bounds`), so a lane can die
+        before the round that would take it past its kill bound runs.
+        The bound is conservative, so the same exactness contract as
+        ``prune`` holds. Lanes it kills count as ``lanes_lb_skipped`` /
+        ``cells_lb_skipped`` instead of ``cells_pruned``.
     """
 
     def __init__(
@@ -175,8 +174,10 @@ class BatchSDTWEngine:
             )
         if initial_capacity <= 0:
             raise ValueError("initial_capacity must be positive")
-        if prune_margin < 0:
-            raise ValueError("prune_margin must be non-negative")
+        if not (np.isfinite(prune_margin) and prune_margin >= 0):
+            raise ValueError(
+                f"prune_margin must be finite and non-negative, got {prune_margin}"
+            )
         if prune_lifetime_samples is not None and prune_lifetime_samples <= 0:
             raise ValueError("prune_lifetime_samples must be positive")
         if prune and self.config.uses_bonus and prune_lifetime_samples is None:
@@ -187,23 +188,24 @@ class BatchSDTWEngine:
             )
         if lb_cascade and not prune:
             raise ValueError(
-                "lb_cascade requires prune=True: the lane gate compares lower "
-                "bounds against the pruning layer's kill bounds"
+                "lb_cascade requires prune=True: the lower bound tightens the "
+                "prune gate's comparison against its kill bounds"
             )
         self.prune = bool(prune)
         self.prune_margin = float(prune_margin)
         self.lb_cascade = bool(lb_cascade)
-        # Lane-rounds and nominal DP cells the gate skipped before dispatch.
+        # What the gate skipped: the cells of skipped lanes count as pruned,
+        # or with `lb_cascade` as LB-skipped lane-rounds and cells.
+        self.cells_pruned = 0
         self.lanes_lb_skipped = 0
         self.cells_lb_skipped = 0
         self.prune_lifetime_samples = (
             None if prune_lifetime_samples is None else int(prune_lifetime_samples)
         )
-        # The decision bound pruning protects (costs at or below it stay
-        # exact). None = prune even if enabled is deferred until a caller —
-        # typically the classifier, once its threshold is calibrated — sets
-        # it; may be updated between rounds (the per-lane kill-bound envelope
-        # keeps dead cells dead regardless).
+        # The decision bound the gate protects (costs at or below it stay
+        # exact). None defers the gate until a caller — typically the
+        # classifier, once its threshold is calibrated — sets it; it may
+        # move between rounds, and a dead lane stays dead regardless.
         self.prune_bound: Optional[float] = None
         dtype = np.int64 if self.config.quantize else np.float64
         if isinstance(reference, ReferenceSquiggle):
@@ -224,16 +226,9 @@ class BatchSDTWEngine:
             raise ValueError("reference must be a non-empty 1-D array")
         n_targets = len(self.target_names)
         if self.lb_cascade:
-            if self.panel is not None:
-                self._lb_lows, self._lb_highs = self.panel.lb_envelopes(
-                    self.config.quantize
-                )
-            else:
-                self._lb_lows, self._lb_highs = lb_envelopes(
-                    self.reference_values, self._block_starts
-                )
-            self._lb_low = float(self._lb_lows.min())
-            self._lb_high = float(self._lb_highs.max())
+            self._lb_lows, self._lb_highs = lb_envelopes(
+                self.reference_values, self._block_starts
+            )
         if isinstance(backend, str):
             if backend.lower() != "numpy":
                 raise ValueError(
@@ -272,11 +267,9 @@ class BatchSDTWEngine:
         self._costs = np.zeros((capacity, n_targets), dtype=np.float64)
         self._ends = np.zeros((capacity, n_targets), dtype=np.intp)
         self._samples = np.zeros(capacity, dtype=np.int64)
-        # Per-lane kill-bound envelope: the minimum bound ever sent for the
-        # lane. Cells are frozen by comparing against the bound of *their*
-        # round, so later rounds must never relax it (a relaxed bound could
-        # resurrect a frozen cell whose value missed sample additions).
-        self._kill_envelope = np.full(capacity, np.inf, dtype=np.float64)
+        # Lanes the gate killed: skipped every round until readmitted. Only
+        # they hold stale backend state; every live lane's row is exact.
+        self._dead = np.zeros(capacity, dtype=bool)
         self.rounds: List[BatchRound] = []
         self._n_polls = 0
         # Running totals over every busy round, so the occupancy gauges a
@@ -330,9 +323,9 @@ class BatchSDTWEngine:
         grown_samples = np.zeros(capacity, dtype=np.int64)
         grown_samples[:old_capacity] = self._samples
         self._samples = grown_samples
-        grown_envelope = np.full(capacity, np.inf, dtype=np.float64)
-        grown_envelope[:old_capacity] = self._kill_envelope
-        self._kill_envelope = grown_envelope
+        grown_dead = np.zeros(capacity, dtype=bool)
+        grown_dead[:old_capacity] = self._dead
+        self._dead = grown_dead
 
     def admit(self, key: Hashable) -> int:
         """Assign ``key`` a fresh lane; returns the lane index."""
@@ -346,7 +339,7 @@ class BatchSDTWEngine:
             self._costs[lane] = 0.0
             self._ends[lane] = 0
             self._samples[lane] = 0
-            self._kill_envelope[lane] = np.inf
+            self._dead[lane] = False
             self._lane_of[key] = lane
         return lane
 
@@ -386,100 +379,66 @@ class BatchSDTWEngine:
         return self._backend.gather(np.array([lane], dtype=np.intp)).lane(0)
 
     # ---------------------------------------------------------------- pruning
-    def _prune_bounds(
-        self, lanes: np.ndarray, lengths: np.ndarray
+    def _gate(
+        self, lanes: np.ndarray, queries: Sequence[np.ndarray], lengths: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Per-lane kill bounds for this round, or ``None`` when not pruning.
+        """The lane gate: which of this round's lanes to dispatch.
 
-        A cell can be frozen only if no alignment continuing through it can
-        ever end at or below the decision bound ``prune_bound + prune_margin``.
+        ``None`` (dispatch all) unless pruning is on and :attr:`prune_bound`
+        is set. A lane may die only if no alignment continuing it can ever
+        end at or below the decision bound ``prune_bound + prune_margin``.
         Over ``r`` remaining query samples a path earns at most
-        ``bonus * (r + cap)`` of match-bonus credit (each diagonal harvests at
-        most ``cap``; ``r`` steps fit at most ``r`` diagonals plus one
+        ``bonus * (r + cap)`` of match-bonus credit (each diagonal harvests
+        at most ``cap``; ``r`` steps fit at most ``r`` diagonals plus one
         pre-built run), so the kill bound is the decision bound plus that
         credit, with ``r`` the lane's remaining lifetime (at least this
-        round's chunk). The per-lane envelope keeps bounds monotonically
-        non-increasing across rounds — dead cells stay dead even if the
-        caller moves :attr:`prune_bound`.
+        round's chunk). A lane's floor is its cached per-target costs, plus
+        the chunk's :func:`~repro.core.sdtw.lb_keogh_bounds` with
+        ``lb_cascade``: every sample adds at least its envelope gap, and
+        block boundaries confine a path to one target. A lane with samples
+        dies when its lowest floor exceeds its kill bound. Its cached costs
+        are clamped up to the floor (they provably stay above the kill
+        bound, so the reported value is faithful), its stored row stays
+        frozen, and it is skipped every later round. A fresh lane's floor
+        is its free-start row, exactly 0.
         """
         if not self.prune or self.prune_bound is None:
             return None
-        base = float(self.prune_bound) + self.prune_margin
-        bonus = float(self.config.match_bonus)
-        if bonus and self.config.uses_bonus:
-            remaining = np.maximum(
-                self.prune_lifetime_samples - self._samples[lanes], lengths
-            ).astype(np.float64)
-            kill = base + bonus * (remaining + float(self.config.match_bonus_cap))
+        config = self.config
+        kill = float(self.prune_bound) + self.prune_margin
+        if config.uses_bonus:
+            remaining = np.maximum(self.prune_lifetime_samples - self._samples[lanes], lengths)
+            kill = kill + float(config.match_bonus) * (remaining + float(config.match_bonus_cap))
+        floors = self._costs[lanes]
+        if self.lb_cascade:
+            floors = floors + lb_keogh_bounds(queries, self._lb_lows, self._lb_highs, config)
+        dead = self._dead[lanes]
+        has_samples = lengths > 0
+        dying = ~dead & has_samples & (floors.min(axis=1) > kill)
+        if dying.any():
+            dying_lanes = lanes[dying]
+            self._costs[dying_lanes] = np.maximum(self._costs[dying_lanes], floors[dying])
+            self._dead[dying_lanes] = True
+            dead = dead | dying
+        skipped = dead & has_samples
+        cells = int(lengths[skipped].sum()) * int(self.reference_values.size)
+        if self.lb_cascade:
+            lanes_skipped = int(np.count_nonzero(skipped))
+            self.lanes_lb_skipped += lanes_skipped
+            self.cells_lb_skipped += cells
+            if self.tracer.enabled:
+                with self.tracer.span(
+                    "backend.lb", lanes_skipped=lanes_skipped, cells_skipped=cells
+                ):
+                    pass
         else:
-            kill = np.full(lanes.size, base, dtype=np.float64)
-        kill = np.minimum(kill, self._kill_envelope[lanes])
-        self._kill_envelope[lanes] = kill
-        return kill
-
-    def _lb_gate(
-        self,
-        lanes: np.ndarray,
-        queries: Sequence[np.ndarray],
-        lengths: np.ndarray,
-        bounds: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Lower-bound lane gate: which lanes must actually be dispatched.
-
-        Runs the cascade per lane against its (min-clamped) kill bound: first
-        the O(1) LB_Kim-style bound on top of the lane's cached row minimum,
-        then — for survivors — the O(chunk) per-block envelope bound on top of
-        the cached per-target minima. A killed lane's cached costs are
-        clamped up to the violated bound (they provably exceed the kill bound
-        forever, so any reported value above it is faithful) and its kill
-        envelope drops to ``-inf``: stale-dead lanes are skipped on sight
-        every later round. Admissibility: every query
-        sample adds at least its envelope gap, block boundaries confine paths
-        to one block, and the kill bound already credits the maximum match
-        bonus the lane's remaining lifetime could harvest.
-        """
-        envelope = self._kill_envelope[lanes]
-        # Zero-length entries stay dispatched: advancing nothing is free and
-        # counting them as skipped lane-rounds would inflate the gate stats.
-        keep = ~(np.isneginf(envelope) & (lengths > 0))
-        if bounds is not None:
-            lane_costs = self._costs[lanes]
-            mu = lane_costs.min(axis=1)
-            for index in np.flatnonzero(keep & (lengths > 0)):
-                bound = float(bounds[index])
-                kim = mu[index] + lb_kim_bound(
-                    queries[index], self._lb_low, self._lb_high, self.config
-                )
-                if kim > bound:
-                    keep[index] = False
-                    lane = lanes[index]
-                    np.maximum(self._costs[lane], kim, out=self._costs[lane])
-                    continue
-                per_block = lane_costs[index] + lb_keogh_bounds(
-                    queries[index], self._lb_lows, self._lb_highs, self.config
-                )
-                if float(per_block.min()) > bound:
-                    keep[index] = False
-                    lane = lanes[index]
-                    np.maximum(self._costs[lane], per_block, out=self._costs[lane])
-        skipped = np.flatnonzero(~keep)
-        if skipped.size:
-            self._kill_envelope[lanes[skipped]] = -np.inf
-            self.lanes_lb_skipped += int(skipped.size)
-            self.cells_lb_skipped += int(lengths[skipped].sum()) * int(
-                self.reference_values.size
-            )
-        return keep
+            self.cells_pruned += cells
+        return ~dead
 
     @property
     def cells_advanced(self) -> int:
         """DP cells the backend actually swept (all rounds so far)."""
         return int(self._backend.stats.cells_advanced)
-
-    @property
-    def cells_pruned(self) -> int:
-        """DP cells the pruning layer skipped (all rounds so far)."""
-        return int(self._backend.stats.cells_pruned)
 
     # ------------------------------------------------------------------- step
     def step(
@@ -521,45 +480,28 @@ class BatchSDTWEngine:
             self._lane_rounds += len(keys)
             self._peak_lanes = max(self._peak_lanes, len(keys))
 
-            bounds = self._prune_bounds(lanes, lengths)
-            if self.lb_cascade:
-                lb_before = (self.lanes_lb_skipped, self.cells_lb_skipped)
-                keep = self._lb_gate(lanes, queries, lengths, bounds)
-                if self.tracer.enabled:
-                    with self.tracer.span(
-                        "backend.lb",
-                        lanes_skipped=self.lanes_lb_skipped - lb_before[0],
-                        cells_skipped=self.cells_lb_skipped - lb_before[1],
-                    ):
-                        pass
-                if not keep.all():
-                    live = np.flatnonzero(keep)
-                    live_lanes = lanes[live]
-                    live_queries = [queries[int(index)] for index in live]
-                    live_bounds = None if bounds is None else bounds[live]
-                else:
-                    live_lanes, live_queries, live_bounds = lanes, queries, bounds
-            else:
-                live_lanes, live_queries, live_bounds = lanes, queries, bounds
+            pruned_before = self.cells_pruned
+            advanced_before = self.cells_advanced
+            live = self._gate(lanes, queries, lengths)
+            live_lanes, live_queries = lanes, queries
+            if live is not None and not live.all():
+                live_lanes = lanes[live]
+                live_queries = [queries[int(index)] for index in np.flatnonzero(live)]
             if live_lanes.size:
-                stats = self._backend.stats
-                before = (stats.cells_advanced, stats.cells_pruned)
-                costs, ends = self._backend.advance(
-                    live_lanes, live_queries, prune_bounds=live_bounds
-                )
-                if self.tracer.enabled and live_bounds is not None:
-                    with self.tracer.span(
-                        "backend.prune",
-                        cells_advanced=stats.cells_advanced - before[0],
-                        cells_pruned=stats.cells_pruned - before[1],
-                    ):
-                        pass
+                costs, ends = self._backend.advance(live_lanes, live_queries)
                 self._costs[live_lanes] = costs
                 self._ends[live_lanes] = ends
+            if live is not None and self.tracer.enabled:
+                with self.tracer.span(
+                    "backend.prune",
+                    cells_advanced=self.cells_advanced - advanced_before,
+                    cells_pruned=self.cells_pruned - pruned_before,
+                ):
+                    pass
             # Skipped lanes still consume their samples logically: decision
             # timing (remaining-lifetime accounting, prefix trimming) must not
             # depend on whether the gate fired. Their backend-side state stays
-            # frozen at the kill round, consistent with frozen-column pruning.
+            # frozen at the round that killed them.
             self._samples[lanes] += lengths
 
             return {

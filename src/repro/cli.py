@@ -18,12 +18,11 @@ Eight subcommands cover the library's main workflows without writing Python:
   explicit flags (flags win): ``--batch`` switches onto the batched
   wavefront engine, ``--backend`` (``numpy`` or ``auto``) picks the
   execution backend and ``--workers N`` its kernel-thread count,
-  ``--prune`` (with ``--prune-margin``)
-  turns on the early-abandoning sDTW pruning layer (decisions stay
-  bit-identical), ``--lb-cascade`` adds the lower-bound lane gate on top of
-  it, and ``--target-panel N`` screens N synthesized viral targets at once
-  through one :class:`~repro.core.panel.TargetPanel`, reporting per-target
-  accept counts. The squigglefilter-family session itself is driven through
+  ``--prune`` (with ``--prune-margin``) turns on the early-abandoning lane
+  gate (decisions stay bit-identical), ``--lb-cascade`` tightens it with a
+  lower bound on each chunk, and ``--target-panel N`` screens N synthesized
+  viral targets at once through one :class:`~repro.core.panel.TargetPanel`,
+  reporting per-target accept counts. The squigglefilter-family session itself is driven through
   :func:`repro.runtime.open_session` — the same code path the examples and
   benchmarks use.
 * ``config-dump``       — print the fully resolved :class:`RunConfig`
@@ -132,10 +131,10 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         dest="prune",
         action="store_true",
         default=None,
-        help="enable the sDTW pruning layer (per-lane early abandoning + "
-        "active-column intervals); accept/eject decisions stay "
-        "bit-identical to brute force on every backend while only "
-        "still-viable column spans advance (implies the batch classifier)",
+        help="enable the lane gate (per-lane early abandoning): a lane whose "
+        "costs exceed its kill bound stops advancing, while live lanes "
+        "advance over every column, so accept/eject decisions stay "
+        "bit-identical to brute force (implies the batch classifier)",
     )
     parser.add_argument(
         "--prune-margin",
@@ -152,10 +151,10 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         dest="lb_cascade",
         action="store_true",
         default=None,
-        help="enable the lower-bound lane gate on top of --prune (requires "
-        "it): cascading LB_Kim/LB_Keogh-style bounds let whole lanes skip "
-        "their wavefront advance before dispatch once no continuation "
-        "could decide differently (decisions stay bit-identical)",
+        help="tighten the --prune lane gate (requires it) with an "
+        "LB_Keogh-style per-target bound on each chunk, so a lane skips "
+        "its wavefront advance before dispatch once no continuation could "
+        "decide differently (decisions stay bit-identical)",
     )
     parser.add_argument(
         "--prefix-samples",

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.config import SDTWConfig
 from repro.core.normalization import NormalizationConfig
 from repro.core.reference import ReferenceSquiggle
-from repro.core.sdtw import lb_envelopes, reduce_block_minima
+from repro.core.sdtw import reduce_block_minima
 from repro.pore_model.kmer_model import KmerModel
 
 if TYPE_CHECKING:  # repro.core.filter imports this module; keep the cycle type-only
@@ -81,12 +81,6 @@ class TargetPanel:
         self.offsets: np.ndarray = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
         self._values = {
             quantized: np.concatenate([ref.values(quantized=quantized) for _, ref in items])
-            for quantized in (False, True)
-        }
-        # Per-member value envelopes for the sDTW lower-bound cascade, built
-        # once like the concatenated buffers (the gate reads them every round).
-        self._lb_envelopes = {
-            quantized: lb_envelopes(self._values[quantized], self.offsets)
             for quantized in (False, True)
         }
 
@@ -166,14 +160,6 @@ class TargetPanel:
     def values(self, quantized: bool) -> np.ndarray:
         """Concatenated kernel-scale profile (cached; built once)."""
         return self._values[bool(quantized)]
-
-    def lb_envelopes(self, quantized: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-member ``(mins, maxs)`` value envelopes (cached; built once).
-
-        Ordered like :attr:`names` — the reference side of the lower-bound
-        cascade (:func:`repro.core.sdtw.lb_keogh_bounds`).
-        """
-        return self._lb_envelopes[bool(quantized)]
 
     # -------------------------------------------------------------- reductions
     def reduce_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

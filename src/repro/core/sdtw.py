@@ -60,7 +60,6 @@ __all__ = [
     "int32_data_path",
     "lb_envelopes",
     "lb_keogh_bounds",
-    "lb_kim_bound",
     "normalize_block_starts",
     "reduce_block_minima",
     "sdtw_cost",
@@ -72,47 +71,28 @@ __all__ = [
 
 
 class AdvanceStats:
-    """Mutable cell-work accounting a batched advance fills in.
+    """Mutable accounting a batched advance fills in.
 
-    ``cells_advanced`` counts DP cells the wavefront actually swept (query
-    samples x columns of every executed slice) and ``cells_pruned`` the cells
-    the pruning layer skipped — frozen columns outside the active intervals
-    plus whole rounds of early-abandoned lanes. Their sum is the nominal
-    brute-force work ``sum(chunk lengths) x reference columns``.
-    ``c_calls`` and ``generic_calls`` count the wavefront calls that ran the
-    compiled kernel and the oracle fallback. The numpy backend accumulates
-    one instance across rounds; each kernel thread fills its own and the
-    backend merges them.
+    ``cells_advanced`` counts the DP cells the wavefront swept (query
+    samples x reference columns of every call); ``c_calls`` and
+    ``generic_calls`` count the wavefront calls that ran the compiled kernel
+    and the oracle fallback. The numpy backend accumulates one instance
+    across rounds; each kernel thread fills its own and the backend merges
+    them. Lanes the engine's lane gate skips never reach the backend, so the
+    engine counts their cells itself.
     """
 
-    __slots__ = ("cells_advanced", "cells_pruned", "c_calls", "generic_calls")
+    __slots__ = ("cells_advanced", "c_calls", "generic_calls")
 
-    def __init__(self, cells_advanced: int = 0, cells_pruned: int = 0) -> None:
-        self.cells_advanced = int(cells_advanced)
-        self.cells_pruned = int(cells_pruned)
+    def __init__(self) -> None:
+        self.cells_advanced = 0
         self.c_calls = 0
         self.generic_calls = 0
 
-    @property
-    def cells_nominal(self) -> int:
-        """Brute-force cell count the advance would have swept unpruned."""
-        return self.cells_advanced + self.cells_pruned
-
-    def add(self, advanced: int, pruned: int) -> None:
-        self.cells_advanced += int(advanced)
-        self.cells_pruned += int(pruned)
-
     def merge(self, other: "AdvanceStats") -> None:
-        self.add(other.cells_advanced, other.cells_pruned)
+        self.cells_advanced += other.cells_advanced
         self.c_calls += other.c_calls
         self.generic_calls += other.generic_calls
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"AdvanceStats(cells_advanced={self.cells_advanced}, "
-            f"cells_pruned={self.cells_pruned}, c_calls={self.c_calls}, "
-            f"generic_calls={self.generic_calls})"
-        )
 
 
 def _as_kernel_arrays(
@@ -244,18 +224,6 @@ def normalize_block_starts(block_starts, reference_length: int) -> np.ndarray:
     return starts
 
 
-def tile_block_starts(block_starts: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Block starts of the column span ``[start, end)``, in span coordinates.
-
-    Column 0 is always a start: the kernel injects the boundary sentinel
-    there regardless. :func:`_resume_batch_pruned` advances such spans and
-    explains why severing the diagonal at a mid-block span start is exact
-    below the decision bound.
-    """
-    inside = block_starts[(block_starts >= start) & (block_starts < end)] - start
-    return inside if inside.size and inside[0] == 0 else np.append(0, inside)
-
-
 def reduce_block_minima(
     rows: np.ndarray, block_starts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -284,7 +252,8 @@ def reduce_block_minima(
 
 
 # --------------------------------------------------------------------------
-# Lower-bound cascade (UCRSuite LB_Kim / LB_Keogh adapted to streaming sDTW)
+# Lower bounds for the engine's lane gate (UCRSuite's LB_Keogh adapted to
+# streaming sDTW)
 #
 # Every alignment path of the no-deletion recurrence consumes every query
 # sample exactly once, each step adding a non-negative local distance against
@@ -294,14 +263,9 @@ def reduce_block_minima(
 # sits. Block boundaries sever the diagonal, so a path that ends inside block
 # ``b`` also started inside block ``b`` and the per-block bounds compose with
 # the engine's cached per-target row minima. The match bonus is budgeted by
-# the caller's kill bound (``threshold + margin + bonus*(remaining+cap)``),
+# the engine's kill bound (``threshold + margin + bonus*(remaining+cap)``),
 # which already credits every diagonal the lane could still harvest, so these
 # bounds only need to never exceed the true *un-credited* local cost.
-
-
-def _lb_gaps(values: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Distance from each value to the interval ``[low, high]`` (broadcast)."""
-    return np.maximum(0.0, np.maximum(values - highs, lows - values))
 
 
 def lb_envelopes(
@@ -309,72 +273,45 @@ def lb_envelopes(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block ``(mins, maxs)`` value envelopes of a concatenated reference.
 
-    The reference side of the lower-bound cascade: block ``b``'s envelope is
-    the min/max of its column values, so a query sample ``v`` can never incur
-    less than ``max(0, v - max_b, min_b - v)`` of local distance inside the
-    block. Built once per reference (panels cache the result per quantization,
-    see :meth:`repro.core.panel.TargetPanel.lb_envelopes`).
+    Block ``b``'s envelope is the min/max of its column values, so a query
+    sample ``v`` can never incur less than ``max(0, v - max_b, min_b - v)``
+    of local distance inside the block.
     """
     values = np.asarray(reference_values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("reference must be a non-empty 1-D array")
     starts = normalize_block_starts(block_starts, values.size)
-    bounds = [int(start) for start in starts] + [values.size]
-    mins = np.fromiter(
-        (values[bounds[b] : bounds[b + 1]].min() for b in range(starts.size)),
-        dtype=np.float64,
-        count=starts.size,
-    )
-    maxs = np.fromiter(
-        (values[bounds[b] : bounds[b + 1]].max() for b in range(starts.size)),
-        dtype=np.float64,
-        count=starts.size,
-    )
-    return mins, maxs
-
-
-def lb_kim_bound(
-    chunk: np.ndarray, reference_low: float, reference_high: float, config: SDTWConfig
-) -> float:
-    """O(1) LB_Kim-style bound: cost the chunk's first and last samples must add.
-
-    Uses only the reference's global value extrema — the first and last chunk
-    samples each contribute at least their distance to the nearest value in
-    ``[reference_low, reference_high]`` (squared for the squared-distance
-    kernel), and every other sample contributes at least zero.
-    """
-    chunk = np.asarray(chunk)
-    if chunk.size == 0:
-        return 0.0
-    ends = np.array(
-        [chunk[0], chunk[-1]] if chunk.size > 1 else [chunk[0]], dtype=np.float64
-    )
-    gaps = _lb_gaps(ends, float(reference_low), float(reference_high))
-    if config.distance == "squared":
-        gaps = gaps * gaps
-    return float(gaps.sum())
+    return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
 
 
 def lb_keogh_bounds(
-    chunk: np.ndarray, block_lows: np.ndarray, block_highs: np.ndarray, config: SDTWConfig
+    queries: Sequence[np.ndarray],
+    block_lows: np.ndarray,
+    block_highs: np.ndarray,
+    config: SDTWConfig,
 ) -> np.ndarray:
-    """O(chunk x blocks) LB_Keogh-style bound: per-block envelope cost sums.
+    """LB_Keogh-style bounds of one round: a ``(lanes, blocks)`` array.
 
-    ``result[b]`` lower-bounds the cost any path confined to block ``b`` must
-    add while consuming the whole chunk: each sample contributes at least its
-    distance to the block's ``[min, max]`` value envelope. Tighter than
-    :func:`lb_kim_bound` (every sample counts, per-block extrema), at the
-    price of touching the full chunk.
+    ``result[k, b]`` lower-bounds the cost any path confined to block ``b``
+    must add while lane ``k`` consumes its whole chunk ``queries[k]``: each
+    sample adds at least its distance to the block's ``[min, max]`` value
+    envelope (squared for the squared-distance kernel). One pass over the
+    round's concatenated samples; a lane without samples gets 0.
     """
     lows = np.asarray(block_lows, dtype=np.float64)
     highs = np.asarray(block_highs, dtype=np.float64)
-    chunk = np.asarray(chunk, dtype=np.float64)
-    if chunk.size == 0:
-        return np.zeros(lows.size, dtype=np.float64)
-    gaps = _lb_gaps(chunk[:, None], lows[None, :], highs[None, :])
+    lengths = np.fromiter((len(query) for query in queries), np.int64, len(queries))
+    bounds = np.zeros((lengths.size, lows.size), dtype=np.float64)
+    has_samples = lengths > 0
+    if not has_samples.any():
+        return bounds
+    samples = np.concatenate(queries).astype(np.float64)[:, None]
+    gaps = np.maximum(0.0, np.maximum(samples - highs, lows - samples))
     if config.distance == "squared":
-        gaps = gaps * gaps
-    return gaps.sum(axis=0)
+        gaps *= gaps
+    starts = (np.cumsum(lengths) - lengths)[has_samples]
+    bounds[has_samples] = np.add.reduceat(gaps, starts, axis=0)
+    return bounds
 
 
 class SDTWState:
@@ -561,7 +498,6 @@ def sdtw_resume_batch(
     config: Optional[SDTWConfig] = None,
     state: Optional[BatchSDTWState] = None,
     block_starts: Optional[np.ndarray] = None,
-    prune_bounds: Optional[np.ndarray] = None,
     stats: Optional[AdvanceStats] = None,
     *,
     lanes: Optional[np.ndarray] = None,
@@ -571,9 +507,9 @@ def sdtw_resume_batch(
 
     ``queries`` holds one (possibly ragged-length) array of new query samples
     per lane. Each lane computes exactly the no-reference-deletion
-    recurrence of :func:`sdtw_resume`, so per-lane rows and costs are
-    **bit-identical** to calling ``sdtw_resume`` once per lane — the batch
-    kernel only restructures the per-read work.
+    recurrence of :func:`sdtw_resume` over every column, so per-lane rows and
+    costs are **bit-identical** to calling ``sdtw_resume`` once per lane —
+    the batch kernel only restructures the per-read work.
 
     A lane whose ``state.samples_processed`` is zero starts from the free
     start (an all-zero row with zero dwell), as a fresh ``sdtw_resume`` call
@@ -603,32 +539,17 @@ def sdtw_resume_batch(
     at every block start makes each block's columns bit-identical to an
     independent single-reference run over that target — one wavefront
     advances the whole panel. Reduce per target afterwards with
-    :func:`reduce_block_minima`.
-
-    ``prune_bounds`` (one kill threshold per lane, ``inf`` = never prune the
-    lane) turns on the pruning layer: columns whose stored cost exceeds the
-    lane's bound are *frozen* at their exact pre-round value and only the
-    per-block ``[lo, hi)`` spans of still-viable columns are advanced; a lane
-    with no viable column anywhere skips the round outright (early
-    abandoning). The bound must already include the maximum remaining
-    ``match_bonus`` credit a path could still earn (see
-    :class:`repro.batch.BatchSDTWEngine`, which derives it from the eject
-    threshold and the lane's current panel winner) — then every output cost
-    at or below the *decision* bound is bit-identical to the brute-force
-    advance, and pruned costs above it only ever over-estimate, so
-    accept/eject decisions and reported winners below the bound never change.
-    ``stats`` accumulates the advanced/pruned cell counts of the call and
-    which wavefront path it ran.
+    :func:`reduce_block_minima`. ``stats`` accumulates the call's advanced
+    cells and which wavefront path it ran.
 
     ``lanes`` makes the call an in-place advance of a resident state (the
     numpy backend's hot path): query ``k`` advances row ``lanes[k]`` of
     ``state`` (listed lanes are distinct), and ``out`` is the state's
-    :class:`RowReductions`, which the call reads instead of scanning rows.
-    When the compiled kernel advances the listed rows where they lie, or a
-    pruned round abandons every listed lane, the call stores the rows,
-    dwell, sample counts and reductions itself and returns ``None``. Every
-    other call (``int64`` or float storage, values outside the kernel's
-    range, no compiler, pruned spans that leave columns out) stores nothing
+    :class:`RowReductions`, whose magnitudes the call reads instead of
+    scanning rows. When the compiled kernel advances the listed rows where
+    they lie, the call stores the rows, dwell, sample counts and reductions
+    itself and returns ``None``. Every other call (``int64`` or float
+    storage, values outside the kernel's range, no compiler) stores nothing
     and returns the listed lanes' advanced state, for the caller to store,
     widening ``int32`` storage first when that state is ``int64``.
     """
@@ -667,70 +588,11 @@ def sdtw_resume_batch(
 
     starts = normalize_block_starts(block_starts, reference_length)
     lengths = np.fromiter((chunk.shape[0] for chunk in chunks), dtype=np.int64, count=n_lanes)
-    bounds = None
-    if prune_bounds is not None:
-        bounds = np.asarray(prune_bounds, dtype=np.float64).ravel()
-        if bounds.shape[0] != n_lanes:
-            raise ValueError(
-                f"prune_bounds has {bounds.shape[0]} entries "
-                f"but {n_lanes} lanes were given"
-            )
-        if np.all(np.isinf(bounds)):
-            bounds = None
-
     if lanes is not None:
         return _advance_resident(
-            chunks, lengths, reference_values, cfg, state, lanes, starts, bounds, out, stats
+            chunks, lengths, reference_values, cfg, state, lanes, starts, out, stats
         )
-    surviving = None
-    if bounds is not None:
-        restart = (state.samples_processed == 0) & (lengths > 0)
-        surviving = _pruned_survivors(state.rows.min(axis=1), lengths, restart, bounds)
-    return _advance_copy(
-        chunks, lengths, reference_values, cfg, state, starts, bounds, surviving, stats
-    )
-
-
-def _advance_copy(
-    chunks: List[np.ndarray],
-    lengths: np.ndarray,
-    reference_values: np.ndarray,
-    cfg: SDTWConfig,
-    state: BatchSDTWState,
-    starts: np.ndarray,
-    bounds: Optional[np.ndarray],
-    surviving: Optional[np.ndarray],
-    stats: Optional[AdvanceStats],
-) -> BatchSDTWState:
-    """Advance ``state`` into new arrays, leaving it as it was.
-
-    Without ``bounds`` every lane advances over every column; with them, the
-    lanes at positions ``surviving`` (:func:`_pruned_survivors`) advance over
-    their pruned spans.
-    """
-    processed = state.samples_processed + lengths
-    arrays = (chunks, reference_values, cfg, state.rows, state.runs, state.samples_processed)
-    if bounds is not None:
-        rows, runs = _resume_batch_pruned(*arrays, starts, bounds, surviving, stats)
-    elif lengths.any():
-        if stats is not None:
-            stats.add(int(lengths.sum()) * state.reference_length, 0)
-        rows, runs = _wavefront(*arrays, starts, stats)
-    else:
-        rows, runs = state.rows.copy(), state.runs.copy()
-    return BatchSDTWState(rows=rows, runs=runs, samples_processed=processed)
-
-
-def _pruned_survivors(
-    row_minima: np.ndarray, lengths: np.ndarray, restart: np.ndarray, bounds: np.ndarray
-) -> np.ndarray:
-    """The positions of the lanes a pruned round advances.
-
-    A lane with samples survives while its row's minimum is at or below its
-    kill bound, and always when it restarts: its stored row then gives way
-    to the free start. Every other lane skips the round (early abandoning).
-    """
-    return np.flatnonzero(restart | ((lengths > 0) & (row_minima <= bounds)))
+    return _advance_copy(chunks, lengths, reference_values, cfg, state, starts, stats)
 
 
 def _magnitudes(rows: np.ndarray) -> np.ndarray:
@@ -746,11 +608,11 @@ class RowReductions:
     per-block minimum and block-local first argmin, as
     :func:`reduce_block_minima` computes them, and ``magnitudes``
     (``(capacity,)``) an upper bound on each stored row's ``max |row|``. An
-    in-place :func:`sdtw_resume_batch` (``lanes=``) reads the row minima for
-    pruning liveness and the magnitudes for its ``int32`` range guard instead
-    of scanning rows. The compiled kernel rewrites all three for the lanes
-    it advances; :meth:`store` reduces rows stored any other way. A lane at
-    the free start (a zero row) reduces to zeros.
+    in-place :func:`sdtw_resume_batch` (``lanes=``) reads the magnitudes for
+    its ``int32`` range guard instead of scanning rows, and the backend
+    returns the costs and ends. The compiled kernel rewrites all three for
+    the lanes it advances; :meth:`store` reduces rows stored any other way.
+    A lane at the free start (a zero row) reduces to zeros.
     """
 
     __slots__ = ("costs", "ends", "magnitudes")
@@ -789,7 +651,6 @@ def _advance_resident(
     state: BatchSDTWState,
     lanes: np.ndarray,
     starts: np.ndarray,
-    bounds: Optional[np.ndarray],
     out: RowReductions,
     stats: Optional[AdvanceStats],
 ) -> Optional[BatchSDTWState]:
@@ -798,76 +659,31 @@ def _advance_resident(
     On ``int32`` storage the compiled kernel advances the listed rows where
     they lie: it restarts fresh lanes itself and reduces every row it
     finishes into ``out``, so a round copies no lane state. Its range guard
-    reads ``out.magnitudes``. A pruned round reads the exact row minima in
-    ``out.costs`` (:func:`_pruned_survivors`): dead lanes stay frozen, and
-    when the survivors' spans would be whole blocks (a survivor restarts, or
-    :func:`_covers_every_block`) the round is the same single call over the
-    survivors, counted as the span driver counts it. Every other call
-    advances a copy of the listed lanes (:func:`_advance_copy`, given the
-    survivors) and returns it for the caller to store.
+    reads ``out.magnitudes``. Every other call advances a copy of the
+    listed lanes (:func:`_advance_copy`) and returns it for the caller to
+    store.
     """
-    n_columns = state.reference_length
-    nominal = int(lengths.sum()) * n_columns
-    if not nominal:
+    if not lengths.any():
         return None
-    restart = (state.samples_processed[lanes] == 0) & (lengths > 0)
-    surviving = None  # the listed positions a pruned round advances
-    whole = True
-    if bounds is not None:
-        surviving = _pruned_survivors(out.costs[lanes].min(axis=1), lengths, restart, bounds)
-        if not surviving.size:
-            if stats is not None:
-                stats.add(0, nominal)
-            state.samples_processed[lanes] += lengths
-            return None
-        whole = bool(restart.any()) or _covers_every_block(
-            state.rows, lanes[surviving], bounds[surviving], starts
-        )
-    if whole and state.rows.dtype == np.int32 and int32_data_path(cfg):
-        run_lanes, run_chunks, run_lengths, run_restart = lanes, chunks, lengths, restart
-        if surviving is not None:
-            run_lanes, run_lengths = lanes[surviving], lengths[surviving]
-            run_restart = restart[surviving]
-            run_chunks = [chunks[index] for index in surviving]
-        rows_bound = int(out.magnitudes[run_lanes[~run_restart]].max(initial=0))
-        query = _int32_query(run_chunks, run_lengths, reference_values, cfg, rows_bound)
+    if state.rows.dtype == np.int32 and int32_data_path(cfg):
+        restart = (state.samples_processed[lanes] == 0) & (lengths > 0)
+        rows_bound = int(out.magnitudes[lanes[~restart]].max(initial=0))
+        query = _int32_query(chunks, lengths, reference_values, cfg, rows_bound)
         if query is not None:
             if stats is not None:
                 stats.c_calls += 1
-                advanced = int(run_lengths.sum()) * n_columns
-                stats.add(advanced, nominal - advanced)
-            out.costs[run_lanes], out.ends[run_lanes], out.magnitudes[run_lanes] = (
-                _advance_batch_int32(
-                    state.rows, state.runs, run_lanes, run_restart, query, run_lengths,
-                    reference_values.astype(np.int32), starts, int(cfg.match_bonus),
-                    cfg.match_bonus_cap,
-                )
+                stats.cells_advanced += int(lengths.sum()) * state.reference_length
+            out.costs[lanes], out.ends[lanes], out.magnitudes[lanes] = _advance_batch_int32(
+                state.rows, state.runs, lanes, restart, query, lengths,
+                reference_values.astype(np.int32), starts, int(cfg.match_bonus),
+                cfg.match_bonus_cap,
             )
             state.samples_processed[lanes] += lengths
             return None
     gathered = BatchSDTWState(
         state.rows[lanes], state.runs[lanes], state.samples_processed[lanes]
     )
-    return _advance_copy(
-        chunks, lengths, reference_values, cfg, gathered, starts, bounds, surviving, stats
-    )
-
-
-def _covers_every_block(
-    rows: np.ndarray, lanes: np.ndarray, bounds: np.ndarray, starts: np.ndarray
-) -> bool:
-    """Whether the pruned spans of rows ``lanes`` would be whole blocks.
-
-    :func:`_resume_batch_pruned` advances each block from its first to past
-    its last column that is at or below some lane's bound, so when every
-    block's first and last column is, its spans are the whole row.
-    """
-    lasts = np.append(starts[1:], rows.shape[1]) - 1
-    index, limits = lanes[:, None], bounds[:, None]
-    return bool(
-        (rows[index, starts] <= limits).any(axis=0).all()
-        and (rows[index, lasts] <= limits).any(axis=0).all()
-    )
+    return _advance_copy(chunks, lengths, reference_values, cfg, gathered, starts, stats)
 
 
 def _int32_query(
@@ -897,17 +713,16 @@ def _int32_query(
     return query.astype(np.int32)
 
 
-def _wavefront(
-    chunks: Sequence[np.ndarray],
+def _advance_copy(
+    chunks: List[np.ndarray],
+    lengths: np.ndarray,
     reference_values: np.ndarray,
     cfg: SDTWConfig,
-    rows: np.ndarray,
-    runs: np.ndarray,
-    samples_processed: np.ndarray,
+    state: BatchSDTWState,
     starts: np.ndarray,
     stats: Optional[AdvanceStats],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance every lane over its whole chunk; returns new ``(rows, runs)``.
+) -> BatchSDTWState:
+    """Advance every lane of ``state`` into new arrays, leaving it as it was.
 
     A lane with ``samples_processed == 0`` starts from the free start, and a
     lane with no samples keeps its stored row and (capped) dwell. On the
@@ -918,9 +733,14 @@ def _wavefront(
     when they went in as int32 and the compiled kernel ran; otherwise
     quantized rows come back as int64.
     """
+    processed = state.samples_processed + lengths
+    rows, runs = state.rows, state.runs
+    if not lengths.any():
+        return BatchSDTWState(rows.copy(), runs.copy(), processed)
+    if stats is not None:
+        stats.cells_advanced += int(lengths.sum()) * state.reference_length
     if int32_data_path(cfg):
-        lengths = np.fromiter((chunk.shape[0] for chunk in chunks), np.int64, len(chunks))
-        restart = (samples_processed == 0) & (lengths > 0)
+        restart = (state.samples_processed == 0) & (lengths > 0)
         rows_bound = int(_magnitudes(rows)[~restart].max(initial=0))
         query = _int32_query(chunks, lengths, reference_values, cfg, rows_bound)
         if query is not None:
@@ -934,102 +754,16 @@ def _wavefront(
                 rows32, dwell, np.arange(len(chunks), dtype=np.int64), restart, query,
                 lengths, reference_values.astype(np.int32), starts, int(cfg.match_bonus), cap,
             )
-            if rows.dtype == np.int32:
-                return rows32, dwell
-            return rows32.astype(np.int64), dwell.astype(np.int64)
+            if rows.dtype != np.int32:
+                rows32, dwell = rows32.astype(np.int64), dwell.astype(np.int64)
+            return BatchSDTWState(rows32, dwell, processed)
 
     if stats is not None:
         stats.generic_calls += 1
-    return _advance_batch_generic(
-        chunks, reference_values, cfg, rows, runs, samples_processed, starts
+    rows, runs = _advance_batch_generic(
+        chunks, reference_values, cfg, rows, runs, state.samples_processed, starts
     )
-
-
-def _resume_batch_pruned(
-    chunks: List[np.ndarray],
-    reference_values: np.ndarray,
-    cfg: SDTWConfig,
-    rows: np.ndarray,
-    runs: np.ndarray,
-    samples_processed: np.ndarray,
-    starts: np.ndarray,
-    bounds: np.ndarray,
-    surviving: np.ndarray,
-    stats: Optional[AdvanceStats],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Prune-bounded advance: exact below the bound, frozen above it.
-
-    Per lane, a column whose stored cost exceeds the lane's kill bound is
-    *dead*: no alignment continuing through it can end at or below the
-    decision bound the caller derived the kill bound from (the kill bound
-    already includes the maximum remaining ``match_bonus`` credit). Dead
-    columns keep their exact stored value — freezing, not sentinel-poisoning,
-    which keeps the int32 fast path eligible and lets a column whose bound
-    later relaxes resume from bit-exact state. Only the lanes at positions
-    ``surviving`` (:func:`_pruned_survivors`; none when every lane is
-    abandoned) advance, and only over the per-block
-    ``[lo, last_live + 1 + steps)`` spans of the union live
-    mask — information moves one column rightward per query step and never
-    crosses a block boundary, so everything outside the spans would stay dead
-    all round. The severed diagonal at each span's left edge only ever
-    *raises* values that were already provably above the bound, so every
-    output cost at or below the decision bound is bit-identical to the
-    brute-force advance. A fresh lane's stored row is replaced by the free
-    start, so a survivor that restarts (every survivor has samples) makes
-    every column live.
-    """
-    reference_length = int(reference_values.shape[0])
-    lengths = np.fromiter((chunk.shape[0] for chunk in chunks), np.int64, len(chunks))
-    nominal = int(lengths.sum()) * reference_length
-
-    out_rows = rows.copy()
-    out_runs = runs.copy()
-    spans: List[Tuple[int, int]] = []
-    if (samples_processed[surviving] == 0).any():
-        spans.append((0, reference_length))
-    else:
-        union = np.zeros(reference_length, dtype=bool)
-        for index in surviving:
-            union |= rows[index] <= bounds[index]
-        max_steps = int(lengths[surviving].max(initial=0))
-        block_bounds = [int(start) for start in starts] + [reference_length]
-        for block in range(len(block_bounds) - 1):
-            start, end = block_bounds[block], block_bounds[block + 1]
-            alive_columns = np.flatnonzero(union[start:end])
-            if alive_columns.size == 0:
-                continue
-            lo = start + int(alive_columns[0])
-            hi = min(start + int(alive_columns[-1]) + 1 + max_steps, end)
-            if spans and spans[-1][1] == lo:
-                spans[-1] = (spans[-1][0], hi)
-            else:
-                spans.append((lo, hi))
-
-    sub_chunks = [chunks[index] for index in surviving]
-    sub_samples = samples_processed[surviving]
-    advanced_width = 0
-    for lo, hi in spans:
-        advanced_rows, advanced_runs = _wavefront(
-            sub_chunks,
-            reference_values[lo:hi],
-            cfg,
-            rows[surviving][:, lo:hi],
-            runs[surviving][:, lo:hi],
-            sub_samples,
-            tile_block_starts(starts, lo, hi),
-            stats,
-        )
-        if advanced_rows.dtype.itemsize > out_rows.dtype.itemsize:
-            # The oracle returned int64: widen int32 state before storing into
-            # it (numpy's setitem casts silently).
-            out_rows, out_runs = out_rows.astype(np.int64), out_runs.astype(np.int64)
-        out_rows[:, lo:hi][surviving] = advanced_rows
-        out_runs[:, lo:hi][surviving] = advanced_runs
-        advanced_width += hi - lo
-    if stats is not None:
-        advanced = int(lengths[surviving].sum()) * advanced_width
-        stats.add(advanced, nominal - advanced)
-    return out_rows, out_runs
+    return BatchSDTWState(rows, runs, processed)
 
 
 def _advance_batch_int32(

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -55,7 +57,8 @@ class RunConfig:
         paper's full hardware data path.
     threshold:
         The ejection threshold. ``None`` means "calibrate before running"
-        (:meth:`repro.runtime.ReadUntilSession.calibrate`).
+        (:meth:`repro.runtime.ReadUntilSession.calibrate`). NaN is refused;
+        ``inf`` accepts every read.
     prefix_samples:
         Signal prefix examined before the accept/eject decision.
     chunk_samples:
@@ -85,21 +88,20 @@ class RunConfig:
         calling one). ``backend="auto"`` picks the thread count itself, so
         it rejects a ``workers`` value.
     prune / prune_margin:
-        Pruning layer of the sDTW wavefront (early abandoning +
-        active-column intervals). Off by default — brute force preserved
-        bit for bit. With ``prune=True`` the classifier derives per-lane
-        kill bounds from its eject threshold; accept/eject decisions stay
-        bit-identical on every backend while only still-viable column
-        spans advance. ``prune_margin`` widens the exactness window:
-        every reported cost within ``margin`` of the threshold also stays
-        bit-exact (at the price of fewer pruned cells).
+        The engine's lane gate (early abandoning). Off by default — brute
+        force preserved bit for bit. With ``prune=True`` the classifier
+        derives per-lane kill bounds from its eject threshold, and a lane
+        whose cached costs exceed its bound stops advancing; live lanes
+        advance over every column, so accept/eject decisions stay
+        bit-identical at every thread count. ``prune_margin`` (finite,
+        non-negative) widens the exactness window: every reported cost
+        within ``margin`` of the threshold also stays bit-exact (at the
+        price of fewer pruned lanes).
     lb_cascade:
-        The lower-bound lane gate on top of ``prune`` (requires it): a
-        cascade of conservative lower bounds (an LB_Kim-style extrema
-        bound, then an LB_Keogh-style per-target envelope bound) lets
-        whole lanes skip their wavefront advance — before dispatch — once
-        no continuation could ever decide differently. Decisions stay
-        bit-identical to brute force.
+        Tighten the lane gate with an LB_Keogh-style per-target envelope
+        bound on each lane's new chunk (requires ``prune``), so a lane can
+        skip the round that would take it past its kill bound — before
+        dispatch. Decisions stay bit-identical to brute force.
     """
 
     genome: Optional[str] = None
@@ -156,12 +158,26 @@ class RunConfig:
                 "workers: backend='auto' picks the thread count itself; "
                 "pin the backend to set it by hand"
             )
-        if self.prune_margin < 0:
-            raise ValueError(f"prune_margin: must be non-negative, got {self.prune_margin}")
+        if self.threshold is not None and (
+            not isinstance(self.threshold, Real) or math.isnan(self.threshold)
+        ):
+            raise ValueError(
+                f"threshold: must be a number (inf accepts every read), got "
+                f"{self.threshold!r}; against NaN every read would be ejected"
+            )
+        if not (
+            isinstance(self.prune_margin, Real)
+            and math.isfinite(self.prune_margin)
+            and self.prune_margin >= 0
+        ):
+            raise ValueError(
+                f"prune_margin: must be a finite non-negative number, got "
+                f"{self.prune_margin!r}"
+            )
         if self.lb_cascade and not self.prune:
             raise ValueError(
-                "lb_cascade: requires prune=True — the lane gate compares lower "
-                "bounds against the pruning layer's kill bounds"
+                "lb_cascade: requires prune=True — the lower bound tightens the "
+                "prune gate's comparison against its kill bounds"
             )
         if self.prefix_samples <= 0:
             raise ValueError(f"prefix_samples: must be positive, got {self.prefix_samples}")

@@ -195,7 +195,7 @@ class SessionManager:
         )
         self.metrics.describe(
             "repro_serve_cells_pruned_total",
-            "sDTW wavefront cells skipped by column pruning per session",
+            "sDTW wavefront cells of the lanes the prune gate skipped per session",
         )
         self.metrics.describe(
             "repro_serve_cells_lb_skipped_total",

@@ -137,7 +137,7 @@ def _tile_edge_inputs(case):
     chunks = [rng.integers(-bound, bound + 1, n) for n in case["lengths"]]
     n_lanes = len(chunks)
     # The compiled kernel runs while stored rows plus this round's growth
-    # stay below 2**28 (repro.core.sdtw._wavefront).
+    # stay below 2**28 (repro.core.sdtw._int32_query).
     growth = (2 * bound + case["bonus"] + 1) * max(case["lengths"])
     rows_bound = 2**28 - 1 - growth if case["near_guard"] else 5_000
     rows = rng.integers(-rows_bound, rows_bound + 1, (n_lanes, case["n_columns"]))
@@ -472,11 +472,10 @@ class TestCompiledKernel:
         _raw_call(function, rows, dwell, query, reference, config)
         assert np.array_equal(rows[0], sdtw_resume(query, reference, config).row)
 
-    @pytest.mark.parametrize("prune", [False, True], ids=["brute", "pruned"])
     @pytest.mark.parametrize(
         "workers", [None, 2, 3, 8], ids=["1-thread", "2-workers", "3-workers", "8-workers"]
     )
-    def test_guard_crossing_widens_storage_once(self, workers, prune):
+    def test_guard_crossing_widens_storage_once(self, workers):
         """Rows and capped runs match sdtw_resume after every round while
         the storage widens from int32 to int64, also when several thread
         groups widen it at once and another writes int32 rows (8 groups on
@@ -486,8 +485,6 @@ class TestCompiledKernel:
         config = SDTWConfig.hardware()
         cap = config.match_bonus_cap
         lanes = np.arange(N_LANES)
-        # Finite bounds no cost reaches: the pruned path runs, prunes nothing.
-        bounds = np.full(N_LANES, 1e300) if prune else None
         backend = NumpyBackend(GUARD_REFERENCE, config, capacity=N_LANES, workers=workers)
         scalar = [None] * N_LANES
         dtypes, calls = [], []
@@ -495,7 +492,7 @@ class TestCompiledKernel:
         sys.setswitchinterval(1e-6)
         try:
             for chunks in _guard_rounds():
-                backend.advance(lanes, chunks, prune_bounds=bounds)
+                backend.advance(lanes, chunks)
                 state = backend.gather(lanes)
                 dtypes.append(state.rows.dtype)
                 # What summary()["kernel"]["dtype"] reports.

@@ -490,7 +490,7 @@ class TestShardedPipeline:
     def test_seeded_flowcell_decisions_identical_with_pruning(
         self, reference_squiggle, target_genome, backend_threshold, backend_flowcell_reads
     ):
-        """Acceptance: with the pruning layer on, every thread count still
+        """Acceptance: with the prune gate on, every thread count still
         makes the seeded flowcell's accept/eject decisions bit-identically to the
         brute-force numpy run (accepted reads keep their exact cost; ejected
         reads may report a stale above-threshold cost, so only the decision

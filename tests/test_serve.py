@@ -426,9 +426,11 @@ class TestHttpEndToEnd:
 
     def test_metrics_expose_engine_cell_counters(self, serve_client):
         """_record_round folds the engine's cumulative cell counters into
-        per-session serve counters: cells computed, cells cut mid-wavefront
-        by column pruning, and cells never dispatched thanks to the
-        lower-bound lane gate."""
+        per-session serve counters: cells computed, cells of lanes the prune
+        gate skipped, and cells of lanes the lower-bound gate skipped. Every
+        session sees the same samples, so a lane that lives computes the
+        nominal cells the dead ones skip."""
+        live = serve_client.create_session(service_config(label="live", prune=True))
         pruned = serve_client.create_session(
             service_config(label="cells", threshold=-1e6, prune=True)
         )
@@ -437,34 +439,35 @@ class TestHttpEndToEnd:
                 label="gated", threshold=-1e6, prune=True, lb_cascade=True
             )
         )
-        # Streams span several rounds: column pruning needs a post-init round
-        # to engage, and the lane gate must keep stale-dead lanes skipped.
+        # Streams span several rounds: dead lanes must stay skipped.
         for round_index in range(3):
             last = round_index == 2
-            serve_client.submit_round(
-                pruned, [wire_chunk("r0", seed=round_index, last=last)]
-            )
-            serve_client.submit_round(
-                gated, [wire_chunk("g0", seed=round_index, last=last)]
-            )
+            for session, read_id in ((live, "l0"), (pruned, "r0"), (gated, "g0")):
+                serve_client.submit_round(
+                    session, [wire_chunk(read_id, seed=round_index, last=last)]
+                )
         metrics = serve_client.metrics_text()
 
         def counter(name, session):
+            # A counter that never rose has no line.
             prefix = f'{name}{{session="{session}"}} '
             for line in metrics.splitlines():
                 if line.startswith(prefix):
                     return float(line[len(prefix):])
             return 0.0
 
-        # The dead threshold leaves the fresh-lane init as the only computed
-        # cells; the rest of the round is column-pruned.
-        assert counter("repro_serve_cells_advanced_total", pruned) > 0
-        assert counter("repro_serve_cells_pruned_total", pruned) > 0
+        nominal = counter("repro_serve_cells_advanced_total", live)
+        assert nominal > 0
+        assert counter("repro_serve_cells_pruned_total", live) == 0
+        # Under the dead threshold every fresh lane dies on arrival.
+        assert counter("repro_serve_cells_advanced_total", pruned) == 0
+        assert counter("repro_serve_cells_pruned_total", pruned) == nominal
         # The gated session's lanes never reach a backend at all.
         assert counter("repro_serve_cells_lb_skipped_total", gated) > 0
+        assert counter("repro_serve_cells_lb_skipped_total", gated) == nominal
         assert counter("repro_serve_cells_advanced_total", gated) == 0
-        serve_client.close_session(pruned)
-        serve_client.close_session(gated)
+        for session in (live, pruned, gated):
+            serve_client.close_session(session)
 
     def test_metrics_count_kernel_calls_by_path(self, serve_client):
         """_record_round folds the backend's wavefront-call counters into
@@ -596,6 +599,25 @@ class TestHttpEndToEnd:
             assert excinfo.value.status == 400
             assert excinfo.value.message.startswith(field)
             assert len(serve_client.list_sessions()) == open_before
+
+    @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            ("threshold", dict(threshold=float("nan"))),
+            ("prune_margin", dict(prune=True, prune_margin=float("nan"))),
+            ("prune_margin", dict(prune=True, prune_margin=float("inf"))),
+        ],
+        ids=["nan-threshold", "nan-margin", "inf-margin"],
+    )
+    def test_non_finite_decision_bound_gets_400(self, serve_client, field, overrides):
+        """JSON's NaN and Infinity parse to floats; as a threshold or prune
+        margin they would turn every read into a confident decision."""
+        open_before = len(serve_client.list_sessions())
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.create_session(service_config(**overrides))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith(field)
+        assert len(serve_client.list_sessions()) == open_before
 
     def test_workers_beyond_usable_cores_gets_400(self, serve_client):
         """Every session's backend starts its own kernel threads, so a tenant
